@@ -13,8 +13,6 @@
 //! all three protocols over the identical medium, topology, and seed
 //! discipline.
 
-#![forbid(unsafe_code)]
-
 pub mod exor;
 pub mod srcr;
 

@@ -12,7 +12,12 @@
 //! With [`SrcrConfig::autorate`] the sender of every hop runs an Onoe
 //! controller per nexthop (§4.4).
 
-// xtask: allow(panic_path, file) -- SRCR per-node queues and in-flight tables are sized to the topology's node count at setup; route hops come from the Dijkstra pass over that same topology.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    reason = "SRCR per-node queues and in-flight tables are sized to the topology's node count at setup; route hops come from the Dijkstra pass over that same topology."
+)]
 
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::EtxTable;
@@ -205,17 +210,6 @@ impl SrcrAgent {
     /// All flows resolved every packet (withdrawn flows count as done)?
     pub fn all_done(&self) -> bool {
         self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
-    /// Debug: (per-hop queue lengths along the path, in-network count,
-    /// next_seq) of a flow.
-    pub fn debug_flow(&self, index: usize) -> (Vec<usize>, usize, u32) {
-        let f = &self.flows[index];
-        (
-            f.queues.iter().map(|q| q.len()).collect(),
-            f.in_flight,
-            f.next_seq,
-        )
     }
 
     fn rate_for(&mut self, node: NodeId, nh: NodeId) -> Option<Bitrate> {

@@ -21,8 +21,6 @@
 //! deadline (challenged Srcr pairs — the dead spots — would otherwise run
 //! forever).
 
-#![forbid(unsafe_code)]
-
 pub mod common;
 pub mod stats;
 

@@ -39,11 +39,13 @@
 
 #![deny(missing_docs)]
 
-// xtask: allow(panic_path, file) -- log/exp table lookups are indexed by u8 values bounded 0..=255 by the field construction.
-
 pub mod scalar;
 pub mod slice_ops;
 pub mod tables;
+#[allow(
+    unsafe_code,
+    reason = "the audited SIMD kernels; every unsafe block and fn carries a SAFETY comment"
+)]
 pub mod wide;
 
 use core::fmt;
@@ -58,6 +60,10 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 #[repr(transparent)]
 pub struct Gf256(pub u8);
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "log/exp table lookups are indexed by u8 values bounded 0..=255 by the field construction."
+)]
 impl Gf256 {
     /// The additive identity.
     pub const ZERO: Gf256 = Gf256(0);
@@ -77,12 +83,14 @@ impl Gf256 {
 
     /// Field multiplication via the 64 KiB lookup table.
     #[inline]
+    #[must_use]
     pub const fn mul(self, rhs: Gf256) -> Gf256 {
         Gf256(tables::MUL[self.0 as usize][rhs.0 as usize])
     }
 
     /// Field addition (XOR).
     #[inline]
+    #[must_use]
     pub const fn add(self, rhs: Gf256) -> Gf256 {
         Gf256(self.0 ^ rhs.0)
     }
@@ -93,6 +101,7 @@ impl Gf256 {
     ///
     /// Panics if `self` is zero, which has no inverse.
     #[inline]
+    #[must_use]
     pub fn inv(self) -> Gf256 {
         assert!(self.0 != 0, "attempt to invert 0 in GF(2^8)");
         Gf256(tables::INV[self.0 as usize])
@@ -109,6 +118,7 @@ impl Gf256 {
     }
 
     /// Raises `self` to the power `exp` (with `0^0 == 1`).
+    #[must_use]
     pub fn pow(self, mut exp: u32) -> Gf256 {
         let mut base = self;
         let mut acc = Gf256::ONE;

@@ -9,7 +9,10 @@
 //! feature routes the dispatching [`slice_ops`](crate::slice_ops) entry
 //! points back here.
 
-// xtask: allow(panic_path, file) -- the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the 256-entry log/exp tables are indexed by u8 values (and EXP by log sums < 510, within its padded length), which cannot overrun."
+)]
 
 use crate::tables::MUL;
 use crate::Gf256;

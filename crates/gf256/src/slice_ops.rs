@@ -33,7 +33,10 @@
 //! assert_eq!(coded, vec![byte.0; 8]);
 //! ```
 
-// xtask: allow(panic_path, file) -- the MUL table is 256x256 indexed by a pair of u8; chunk bounds come from split_at arithmetic on equal-length slices.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the MUL table is 256x256 indexed by a pair of u8; chunk bounds come from split_at arithmetic on equal-length slices."
+)]
 
 use crate::{scalar, wide, Gf256};
 use core::sync::atomic::{AtomicU8, Ordering};

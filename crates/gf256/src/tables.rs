@@ -11,6 +11,11 @@
 //! * [`INV`] — multiplicative inverses (`INV[0]` is 0 as a sentinel; the
 //!   public API guards against inverting zero).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the builders run only in const context: an out-of-bounds index fails the build, never a run"
+)]
+
 /// The AES reduction polynomial x⁸+x⁴+x³+x+1, low 8 bits (the x⁸ term is
 /// implicit in the reduction step).
 pub const POLY: u8 = 0x1B;

@@ -20,7 +20,11 @@
 //! `tests/kernel_equivalence.rs`). The x86 backend is selected once per
 //! process by runtime CPU feature detection.
 
-// xtask: allow(panic_path, file) -- SIMD-width kernel: chunks_exact(8) guarantees every window is exactly 8 bytes, so the fixed-offset indexing and try_into conversions on those windows cannot fail.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "SIMD-width kernel: chunks_exact(8) guarantees every window is exactly 8 bytes, so the fixed-offset indexing and try_into conversions on those windows cannot fail."
+)]
 
 use crate::tables::{MUL_HI, MUL_LO};
 use crate::Gf256;

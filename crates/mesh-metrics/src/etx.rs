@@ -10,7 +10,10 @@
 //! MORE and ExOR use to order forwarders ("closer to destination" =
 //! smaller ETX, Table 3.1).
 
-// xtask: allow(panic_path, file) -- loss/distance matrices are square in the node count fixed at build.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "loss/distance matrices are square in the node count fixed at build."
+)]
 
 use crate::{EPS, INF};
 use mesh_topology::{NodeId, Topology};

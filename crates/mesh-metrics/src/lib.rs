@@ -23,8 +23,6 @@
 //! * [`cache`] — lazy per-destination memoization of ETX/EOTX tables, so
 //!   runs with many flows toward shared sinks compute each table once.
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod credits;
 pub mod eotx;

@@ -46,7 +46,12 @@
 //! assert!((0.0..=1.0).contains(&p));
 //! ```
 
-// xtask: allow(panic_path, file) -- per-link channel state is sized to the validated topology's link set at build; build() panicking on an invalid spec is its documented contract (validate() is the fallible form).
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "per-link channel state is sized to the validated topology's link set at build; build() panicking on an invalid spec is its documented contract (validate() is the fallible form)."
+)]
 
 use crate::Time;
 use mesh_topology::{NodeId, Position, Topology};

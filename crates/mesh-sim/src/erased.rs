@@ -104,9 +104,12 @@ pub trait FlowAgent: NodeAgent {
     ///
     /// The default implementation panics: protocols opt in by overriding
     /// this together with [`FlowAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
     fn add_flow(&mut self, desc: &FlowDesc) -> usize {
         let _ = desc;
-        // xtask: allow(panic_path) -- documented "# Panics" contract: protocols opt in to dynamic flows via supports_dynamic_flows
         panic!("this protocol does not support dynamic flow arrivals");
     }
 
@@ -118,9 +121,12 @@ pub trait FlowAgent: NodeAgent {
     ///
     /// The default implementation panics: protocols opt in by overriding
     /// this together with [`FlowAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
     fn end_flow(&mut self, index: usize) {
         let _ = index;
-        // xtask: allow(panic_path) -- documented "# Panics" contract: protocols opt in to dynamic flows via supports_dynamic_flows
         panic!("this protocol does not support dynamic flow departures");
     }
 }
@@ -171,10 +177,13 @@ where
     A::Payload: 'static,
 {
     fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the simulator registers one payload type per agent; a type mismatch here is a harness bug, never a runtime input"
+        )]
         let payload = frame
             .payload
             .downcast_ref::<A::Payload>()
-            // xtask: allow(panic_path) -- the simulator registers one payload type per agent; a type mismatch here is a harness bug, never a runtime input
             .expect("erased frame payload does not match the receiving agent's payload type")
             .clone();
         let typed = Frame {

@@ -31,7 +31,6 @@
 //! receptions through `on_receive`, and reports transmit outcomes through
 //! `on_tx_done`. Everything is deterministic in the seed.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod autorate;

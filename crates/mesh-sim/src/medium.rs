@@ -31,7 +31,11 @@
 //!    probability as reported by the run's [`ChannelModel`], independently
 //!    per receiver (the §5.3.1 model when the channel is static).
 
-// xtask: allow(panic_path, file) -- transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "transmission ids are issued by this module and resolved before eviction; per-node vectors are sized to the topology."
+)]
 
 use crate::channel::{ChannelModel, ReachHint};
 use crate::{SimConfig, Time};

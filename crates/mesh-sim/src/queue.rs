@@ -24,7 +24,8 @@
 //!   without per-flow state.
 //!
 //! All AQM randomness (RED's marking draws, CHOKe's peek) runs on a
-//! dedicated ChaCha8 stream derived as `seed ^` [`QUEUE_STREAM`], so
+//! dedicated ChaCha8 stream derived as `seed ^`
+//! [`QUEUE_STREAM`](mesh_topology::streams::QUEUE_STREAM), so
 //! queue decisions never perturb the engine's main RNG stream.
 //!
 //! On top of the queue sits a minimal end-to-end congestion controller:
@@ -38,8 +39,6 @@ use mesh_topology::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
-
-pub use mesh_topology::streams::QUEUE_STREAM;
 
 /// Why a frame was dropped at a transmit queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +100,8 @@ pub enum QueueVerdict {
 /// * [`QueueDiscipline::depth`] returns the mirror length, which must
 ///   always equal the engine-side FIFO length.
 /// * All randomness must come from the `rng` argument (the dedicated
-///   [`QUEUE_STREAM`] ChaCha8 stream), never from ambient sources.
+///   [`QUEUE_STREAM`](mesh_topology::streams::QUEUE_STREAM) ChaCha8
+///   stream), never from ambient sources.
 ///
 /// # Examples
 ///
@@ -318,9 +318,12 @@ impl QueueSpec {
     ///
     /// Panics when the spec is invalid — call [`QueueSpec::validate`]
     /// first for an error value.
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract, mirroring ChannelSpec::build: validate() is the error-value path"
+    )]
     pub fn build_node(&self) -> Option<Box<dyn QueueDiscipline>> {
         if let Err(e) = self.validate() {
-            // xtask: allow(panic_path) -- documented "# Panics" contract, mirroring ChannelSpec::build: validate() is the error-value path
             panic!("invalid QueueSpec: {e}");
         }
         match *self {
@@ -623,6 +626,7 @@ impl AimdPacer {
 #[cfg(test)]
 mod test {
     use super::*;
+    use mesh_topology::streams::QUEUE_STREAM;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> ChaCha8Rng {

@@ -21,16 +21,20 @@
 //! collide); broadcasts are fire-and-forget (802.11 semantics — the basis
 //! of both MORE's and ExOR's designs).
 
-// xtask: allow(panic_path, file) -- per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress; event-heap pops are guarded by the peek directly above.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "per-node state vectors are sized to the topology at construction and NodeId indices are validated on ingress; event-heap pops are guarded by the peek directly above."
+)]
 
 use crate::channel::{ChannelModel, ChannelSpec};
 use crate::erased::{FlowAgent, FlowDesc};
 use crate::medium::{Medium, Transmission};
-use crate::queue::{
-    AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict, QUEUE_STREAM,
-};
+use crate::queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 use crate::stats::SimStats;
 use crate::{Frame, NodeAgent, OutFrame, SimConfig, Time, TxOutcome};
+use mesh_topology::streams::QUEUE_STREAM;
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rand::SeedableRng;
@@ -315,22 +319,6 @@ impl<A: NodeAgent> Simulator<A> {
         layer.auto_pace = Some(cfg);
     }
 
-    /// Current transmit-queue depth at `node` (0 when unbounded).
-    pub fn queue_depth(&self, node: NodeId) -> usize {
-        self.queues
-            .as_ref()
-            .and_then(|l| l.nodes.get(node.0))
-            .map_or(0, |q| q.frames.len())
-    }
-
-    /// Current AIMD pacing rate of `flow`, if it is paced.
-    pub fn pacer_rate(&self, flow: u32) -> Option<f64> {
-        self.queues
-            .as_ref()
-            .and_then(|l| l.pacers.get(&flow))
-            .map(AimdPacer::rate_pps)
-    }
-
     /// Builds a simulator over a caller-constructed channel model — the
     /// escape hatch for loss processes [`ChannelSpec`] cannot express.
     pub fn with_channel_model(
@@ -407,21 +395,6 @@ impl<A: NodeAgent> Simulator<A> {
     /// Kick a node's MAC from outside the event loop (e.g. flow start).
     pub fn kick(&mut self, node: NodeId) {
         self.kick_at(node, self.now);
-    }
-
-    /// Debug view of a node's MAC state name.
-    pub fn mac_state_name(&self, node: NodeId) -> &'static str {
-        match self.states[node.0] {
-            MacState::Idle => "Idle",
-            MacState::Waiting => "Waiting",
-            MacState::Transmitting => "Transmitting",
-            MacState::AwaitAck { .. } => "AwaitAck",
-        }
-    }
-
-    /// Number of events waiting in the queue (debugging aid).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     fn kick_at(&mut self, node: NodeId, at: Time) {

@@ -1,5 +1,11 @@
 //! End-to-end tests of the simulator engine with minimal protocol agents.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
 use mesh_topology::{generate, NodeId};
 

@@ -12,7 +12,11 @@
 //!
 //! All generators are deterministic in their seed.
 
-// xtask: allow(panic_path, file) -- grid and position vectors are sized from the node count computed in the same function; panicking after 512 rejected attempts is the documented contract for statistically impossible seeds.
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "grid and position vectors are sized from the node count computed in the same function; panicking after 512 rejected attempts is the documented contract for statistically impossible seeds."
+)]
 
 use crate::spatial::CellGrid;
 use crate::{Link, NodeId, Position, Topology};

@@ -5,7 +5,11 @@
 //! recursive-descent parser covers everything [`crate::Topology::from_json`]
 //! needs. Writing happens directly in `to_json` (no intermediate value).
 
-// xtask: allow(panic_path, file) -- scan indices are bounded by the pos < len loop conditions; parses run on spans the scanner already validated as ASCII digits.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "scan indices are bounded by the pos < len loop conditions; parses run on spans the scanner already validated as ASCII digits."
+)]
 
 use std::fmt;
 

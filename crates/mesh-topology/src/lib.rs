@@ -23,10 +23,7 @@
 //! measurement module is in [`estimator`]; the spatial hash the geometric
 //! generators use to find candidate neighbors in O(cell) is in [`spatial`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-
-// xtask: allow(panic_path, file) -- ascii-art grid cells are bounded by the extent computed from the same node positions; CSR rows are sized to the node count at construction.
 
 pub mod estimator;
 pub mod generate;
@@ -138,6 +135,10 @@ fn link_error(n: usize, links: &[Link]) -> Option<String> {
 }
 
 /// First duplicated ordered pair in `(from, to)`-sorted `links`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "windows(2) yields exactly two-element slices."
+)]
 fn dup_error(sorted: &[Link]) -> Option<String> {
     sorted.windows(2).find_map(|w| {
         ((w[0].from, w[0].to) == (w[1].from, w[1].to))
@@ -145,6 +146,11 @@ fn dup_error(sorted: &[Link]) -> Option<String> {
     })
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "ascii-art grid cells are bounded by the extent computed from the same node positions; CSR rows are sized to the node count at construction."
+)]
 impl Topology {
     /// Builds a topology from a dense delivery matrix (compatibility
     /// constructor; internally converts to CSR).
@@ -240,6 +246,7 @@ impl Topology {
     }
 
     /// Attaches physical positions (must match the node count).
+    #[must_use]
     pub fn with_positions(mut self, positions: Vec<Position>) -> Self {
         assert_eq!(positions.len(), self.n(), "positions length mismatch");
         self.positions = Some(positions);

@@ -20,7 +20,10 @@
 //! the exact distance check on the candidates. Generators that need
 //! same-floor queries keep one grid per floor.
 
-// xtask: allow(panic_path, file) -- the cells vector is sized rows*cols at construction and every cell coordinate passes through cell_of, which clamps into 0..cols-1 x 0..rows-1.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the cells vector is sized rows*cols at construction and every cell coordinate passes through cell_of, which clamps into 0..cols-1 x 0..rows-1."
+)]
 
 use crate::Position;
 

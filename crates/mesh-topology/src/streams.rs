@@ -15,9 +15,9 @@
 //!    the workspace is a lint finding, so new streams must pass through
 //!    this file (and its review) to exist.
 //!
-//! Consumers re-export their constant at its historical public path
-//! (e.g. `scenario::TRAFFIC_STREAM`), so moving the definitions here
-//! changed no values and therefore no RNG byte-stream.
+//! Consumers import each constant from this module, its one public
+//! path; moving the definitions here changed no values and therefore
+//! no RNG byte-stream.
 
 // xtask: stream-registry
 

@@ -27,8 +27,6 @@
 //! spatial reuse falling out of the 802.11 model rather than protocol
 //! machinery — the property the paper trades ExOR's structure for.
 
-#![forbid(unsafe_code)]
-
 pub mod agent;
 pub mod flow;
 pub mod header;

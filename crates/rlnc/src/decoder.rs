@@ -20,9 +20,10 @@
 //! payloads alike — cycles through [`crate::pool`], so a steady-state
 //! destination decodes without touching the allocator.
 
-// xtask: allow(panic_path, file) -- Gaussian elimination is index arithmetic by
-// nature: every row/vector index here is bounded by k == rows.len() ==
-// vector.len(), pinned by Decoder::new and the receive() length asserts.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Gaussian elimination is index arithmetic by nature: every row/vector index here is bounded by k == rows.len() == vector.len(), pinned by Decoder::new and the receive() length asserts."
+)]
 
 use crate::packet::{axpy_chunked, CodedPacket};
 use crate::{pool, CodingError};

@@ -38,7 +38,6 @@
 //! assert_eq!(dec.take_natives().unwrap(), natives);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod buffer;

@@ -1,6 +1,9 @@
 //! Code vectors, flat coded packets, and the source-side encoder.
 
-// xtask: allow(panic_path, file) -- header/payload splits index buffers acquired with exactly the k + payload length being split.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "header/payload splits index buffers acquired with exactly the k + payload length being split."
+)]
 
 use crate::{pool, CodingError};
 use bytes::Bytes;

@@ -12,7 +12,10 @@
 //! and the stored rows are recycled through [`crate::pool`] so steady-state
 //! rank tracking touches the allocator only while a batch is growing.
 
-// xtask: allow(panic_path, file) -- row and pivot indices are bounded by k == rows.len(), pinned at construction exactly as in decoder.rs.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "row and pivot indices are bounded by k == rows.len(), pinned at construction exactly as in decoder.rs."
+)]
 
 use crate::pool;
 use gf256::{slice_ops, Gf256};

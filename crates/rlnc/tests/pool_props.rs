@@ -1,6 +1,11 @@
 //! Property tests for the zero-copy packet memory model: the flat
 //! `[coeffs | payload]` packet layout and the thread-local buffer pool.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use gf256::Gf256;
 use more_rlnc::{pool, CodeVector, Decoder, SourceEncoder};
 use proptest::prelude::*;

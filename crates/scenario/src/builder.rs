@@ -11,7 +11,12 @@
 //! executed on a worker pool ([`crate::exec::par_map`]) because runs are
 //! independent by construction.
 
-// xtask: allow(panic_path, file) -- run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function.
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function."
+)]
 
 use crate::exec;
 use crate::manifest::{cell_key, Manifest};

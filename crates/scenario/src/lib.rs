@@ -52,7 +52,6 @@
 //!   completions through a channel drained by the caller, no global
 //!   lock on a slot vector.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod builder;
@@ -75,5 +74,5 @@ pub use sink::{Aggregate, Collect, CsvAppend, JsonLines, RunSink, Tee};
 pub use spec::{random_pairs, scale_loss, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
 pub use traffic::{
     validate_schedule, FlowEvent, OnOffModel, PoissonModel, StaggeredModel, StaticModel,
-    TrafficModel, TrafficModelSpec, TRAFFIC_STREAM,
+    TrafficModel, TrafficModelSpec,
 };

@@ -1,7 +1,10 @@
 //! Declarative scenario ingredients: topology, traffic, parameters, and
 //! sweeps.
 
-// xtask: allow(panic_path, file) -- FlowSpec validation guarantees a non-empty destination list, and Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len().
+#![expect(
+    clippy::indexing_slicing,
+    reason = "FlowSpec validation guarantees a non-empty destination list, and Sweep::value(i) is only called with i < len() by the sweep driver iterating 0..len()."
+)]
 
 use mesh_sim::{Bitrate, ChannelSpec, QueueSpec};
 use mesh_topology::{generate, NodeId, Topology};

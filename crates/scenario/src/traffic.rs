@@ -30,13 +30,12 @@
 use crate::pairs::PairPool;
 use crate::spec::{reachable_pairs, FlowSpec, TrafficSpec};
 use mesh_sim::{Time, SEC};
+use mesh_topology::streams::TRAFFIC_STREAM;
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-
-pub use mesh_topology::streams::TRAFFIC_STREAM;
 
 /// A timestamped workload event within one simulator run.
 #[derive(Clone, Debug, PartialEq)]
@@ -172,9 +171,12 @@ pub(crate) fn flow_windows(schedule: &[FlowEvent]) -> Vec<FlowWindow> {
                 stop: None,
             }),
             FlowEvent::Stop { flow, at } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Stop events are only emitted for flows a Start already inserted"
+                )]
                 let w = windows
                     .get_mut(*flow)
-                    // xtask: allow(panic_path) -- Stop events are only emitted for flows a Start already inserted
                     .expect("Stop references a flow that never started");
                 w.stop = Some(*at);
             }

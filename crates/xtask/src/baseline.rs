@@ -1,195 +1,202 @@
-//! The lint ratchet: a committed baseline of per-lint counts that CI
-//! compares against every run.
-//!
-//! The counts include findings *suppressed by allows*, so the workspace
-//! can be `analyze`-clean while the ratchet still tracks escape-hatch
-//! creep: adding an allow raises a count and fails the ratchet until the
-//! baseline is deliberately re-committed. When counts fall, `ratchet`
-//! rewrites the baseline in place so the improvement locks in.
-//!
-//! The file format is a tiny, stable JSON object (hand-rolled here —
-//! xtask takes no dependencies):
-//!
-//! ```json
-//! {
-//!   "schema": 1,
-//!   "counts": { "panic_path": 12, "unsafe_sites": 19 }
-//! }
-//! ```
+//! The lint ratchet: committed per-lint counts (`xtask-baseline.json`).
+//! They include *suppressed* findings — xtask's allowed findings, and
+//! clippy's sites under `#[expect]` via `--force-warn` ([`clippy_counts`])
+//! — plus the unsafe inventory size and the unused allows, so a new
+//! escape hatch fails CI until the baseline is deliberately re-committed.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
+use std::path::Path;
+use std::process::Command;
+
+use crate::lints::is_library_crate;
 
 /// Name of the committed baseline file at the workspace root.
 pub const BASELINE_FILE: &str = "xtask-baseline.json";
 
-/// The committed per-lint counts the ratchet compares against.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Baseline {
-    /// Ratchet key (lint name, `unsafe_sites`, `unused_allows`) → count.
-    pub counts: BTreeMap<String, usize>,
+/// Ratchet key (lint name, `unsafe_sites`, `unused_allows`) → count.
+pub type Counts = BTreeMap<String, usize>;
+
+/// One count that moved: `(key, committed, current)`.
+pub type Delta = (String, usize, usize);
+
+/// The `(rises, falls)` of `current` against `committed`. A key missing
+/// on either side counts as zero there.
+pub fn compare(committed: &Counts, current: &Counts) -> (Vec<Delta>, Vec<Delta>) {
+    let keys: BTreeSet<&String> = committed.keys().chain(current.keys()).collect();
+    let count = |counts: &Counts, key| counts.get(key).copied().unwrap_or(0);
+    let deltas = keys
+        .into_iter()
+        .map(|k| (k.clone(), count(committed, k), count(current, k)));
+    deltas
+        .filter(|(_, was, now)| was != now)
+        .partition(|(_, was, now)| now > was)
 }
 
-/// One count that moved between the baseline and the current run.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Delta {
-    /// The ratchet key that moved.
-    pub key: String,
-    /// The committed count.
-    pub baseline: usize,
-    /// The count this run produced.
-    pub current: usize,
+/// Canonical serialized form: a small JSON object, one count per line in
+/// key order, so baseline diffs show exactly which lint moved.
+pub fn render(counts: &Counts) -> String {
+    let lines: Vec<String> = counts
+        .iter()
+        .map(|(k, n)| format!("    \"{k}\": {n}"))
+        .collect();
+    let body = lines.join(",\n");
+    format!("{{\n  \"schema\": 1,\n  \"counts\": {{\n{body}\n  }}\n}}\n")
 }
 
-/// Outcome of comparing current counts against the baseline.
-#[derive(Debug, Default)]
-pub struct RatchetResult {
-    /// Counts that rose — each one fails the ratchet.
-    pub rises: Vec<Delta>,
-    /// Counts that fell — the baseline should tighten to these.
-    pub falls: Vec<Delta>,
-}
-
-impl RatchetResult {
-    /// No count rose above its baseline.
-    pub fn passed(&self) -> bool {
-        self.rises.is_empty()
+/// Parses the `"counts"` object of a baseline file: string keys mapped to
+/// non-negative integers, whitespace free.
+pub fn parse(text: &str) -> Result<Counts, String> {
+    let missing = "no \"counts\" object";
+    let (_, rest) = text.split_once("\"counts\"").ok_or(missing)?;
+    let body = rest.split(['{', '}']).nth(1).ok_or(missing)?;
+    let mut counts = Counts::new();
+    for entry in body.split(',').map(str::trim).filter(|e| !e.is_empty()) {
+        // The last colon: keys such as `clippy::panic` hold their own.
+        let parsed = entry.rsplit_once(':').and_then(|(key, value)| {
+            let key = key.trim().trim_matches('"');
+            Some((key, value.trim().parse::<usize>().ok()?)).filter(|_| !key.is_empty())
+        });
+        let (key, value) = parsed.ok_or_else(|| format!("malformed counts entry `{entry}`"))?;
+        if counts.insert(key.to_string(), value).is_some() {
+            return Err(format!("duplicate counts key `{key}`"));
+        }
     }
+    Ok(counts)
 }
 
-impl Baseline {
-    /// A baseline holding exactly these counts.
-    pub fn new(counts: BTreeMap<String, usize>) -> Self {
-        Baseline { counts }
-    }
+/// The clippy lints a `Cargo.toml` enables under
+/// `[workspace.lints.clippy]`, as `clippy::<name>`.
+pub fn workspace_clippy_lints(manifest: &str) -> Vec<String> {
+    let lines = manifest.lines().map(str::trim);
+    let table = lines
+        .skip_while(|l| *l != "[workspace.lints.clippy]")
+        .skip(1);
+    let entries = table.take_while(|l| !l.starts_with('['));
+    let names = entries.filter_map(|l| Some(l.split_once('=')?.0.trim()));
+    names.map(|name| format!("clippy::{name}")).collect()
+}
 
-    /// Compares `current` counts against this baseline. Keys absent from
-    /// the baseline start at zero (a brand-new lint with findings is a
-    /// rise); keys absent from `current` count as zero now (a retired
-    /// lint's findings fall away).
-    pub fn compare(&self, current: &BTreeMap<String, usize>) -> RatchetResult {
-        let mut keys: Vec<&String> = self.counts.keys().chain(current.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        let mut result = RatchetResult::default();
-        for key in keys {
-            let base = self.counts.get(key).copied().unwrap_or(0);
-            let cur = current.get(key).copied().unwrap_or(0);
-            let delta = Delta {
-                key: key.clone(),
-                baseline: base,
-                current: cur,
-            };
-            if cur > base {
-                result.rises.push(delta);
-            } else if cur < base {
-                result.falls.push(delta);
+/// Per-lint counts of `lints` over library-crate sources, tallied from
+/// `cargo clippy --message-format=json` output. Each span counts once
+/// however often it is reported; nested spans (`m[i][j]`) count apart.
+pub fn count_clippy_json(stdout: &str, lints: &[String]) -> Counts {
+    let mut counts: Counts = lints.iter().map(|l| (l.clone(), 0)).collect();
+    let mut sites = BTreeSet::new();
+    let messages = stdout
+        .lines()
+        .filter(|l| l.contains("\"reason\":\"compiler-message\""));
+    for line in messages {
+        // The text after the first `key`, up to the next `"` or `,`. rustc
+        // writes a diagnostic's own code before its spans and children, so
+        // the first code and span belong to it.
+        let field = |key| line.split_once(key)?.1.split(['"', ',']).next();
+        let code = field("\"code\":{\"code\":\"");
+        let span = (field("\"byte_start\":"), field("\"byte_end\":"));
+        let site = (code, field("\"file_name\":\""), span);
+        if let (Some(code), Some(file), (Some(_), Some(_))) = site {
+            if is_library_crate(file) && sites.insert(site) {
+                counts.entry(code.to_string()).and_modify(|n| *n += 1);
             }
         }
-        result
     }
+    counts
+}
 
-    /// Canonical serialized form — stable key order, one count per line,
-    /// so baseline diffs in review show exactly which lint moved.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"counts\": {\n");
-        let last = self.counts.len().saturating_sub(1);
-        for (i, (key, count)) in self.counts.iter().enumerate() {
-            let comma = if i == last { "" } else { "," };
-            let _ = writeln!(out, "    \"{key}\": {count}{comma}");
-        }
-        out.push_str("  }\n}\n");
-        out
+/// Runs clippy over the workspace at `root` with every
+/// `[workspace.lints.clippy]` lint force-warned and counts the library
+/// sites per lint. A root without a `Cargo.toml`, such as a fixture tree,
+/// yields no counts.
+pub fn clippy_counts(root: &Path) -> io::Result<Counts> {
+    let lints = match std::fs::read_to_string(root.join("Cargo.toml")) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Counts::new()),
+        manifest => workspace_clippy_lints(&manifest?),
+    };
+    let mut cmd = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()));
+    let args = "clippy --workspace --lib --quiet --message-format=json --";
+    cmd.current_dir(root).args(args.split(' '));
+    for lint in &lints {
+        cmd.args(["--force-warn", lint]);
     }
-
-    /// Parses the baseline file. The grammar is exactly what `render`
-    /// emits plus whitespace freedom: string keys mapped to non-negative
-    /// integers inside the `"counts"` object.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let counts_at = text
-            .find("\"counts\"")
-            .ok_or_else(|| "baseline has no \"counts\" key".to_string())?;
-        let rest = &text[counts_at + "\"counts\"".len()..];
-        let open = rest
-            .find('{')
-            .ok_or_else(|| "\"counts\" is not an object".to_string())?;
-        let body = &rest[open + 1..];
-        let close = body
-            .find('}')
-            .ok_or_else(|| "unterminated \"counts\" object".to_string())?;
-        let body = &body[..close];
-
-        let mut counts = BTreeMap::new();
-        for entry in body.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (key_part, val_part) = entry
-                .split_once(':')
-                .ok_or_else(|| format!("malformed counts entry `{entry}`"))?;
-            let key = key_part.trim().trim_matches('"');
-            if key.is_empty() {
-                return Err(format!("empty key in counts entry `{entry}`"));
-            }
-            let value: usize = val_part
-                .trim()
-                .parse()
-                .map_err(|_| format!("non-integer count in `{entry}`"))?;
-            if counts.insert(key.to_string(), value).is_some() {
-                return Err(format!("duplicate counts key `{key}`"));
-            }
-        }
-        Ok(Baseline { counts })
+    let out = cmd.output()?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(io::Error::other(format!("cargo clippy failed:\n{stderr}")));
     }
+    Ok(count_clippy_json(
+        &String::from_utf8_lossy(&out.stdout),
+        &lints,
+    ))
 }
 
 #[cfg(test)]
 mod test {
     use super::*;
 
-    fn counts(pairs: &[(&str, usize)]) -> BTreeMap<String, usize> {
+    fn counts(pairs: &[(&str, usize)]) -> Counts {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
     #[test]
     fn render_parse_round_trip() {
-        let b = Baseline::new(counts(&[("panic_path", 12), ("unsafe_sites", 19)]));
-        let parsed = Baseline::parse(&b.render()).expect("round trip");
-        assert_eq!(parsed, b);
+        let c = counts(&[("clippy::panic", 12), ("unsafe_sites", 19)]);
+        assert_eq!(parse(&render(&c)), Ok(c));
     }
 
     #[test]
-    fn parse_tolerates_whitespace() {
-        let b = Baseline::parse("{\"schema\":1,\"counts\":{\"a\":1,  \"b\" : 2 }}").unwrap();
-        assert_eq!(b.counts, counts(&[("a", 1), ("b", 2)]));
+    fn parse_tolerates_whitespace_and_rejects_garbage() {
+        let c = parse("{\"schema\":1,\"counts\":{\"a\":1,  \"b\" : 2 }}");
+        assert_eq!(c, Ok(counts(&[("a", 1), ("b", 2)])));
+        assert!(parse("{}").is_err());
+        assert!(parse("{\"counts\": {\"a\": -1}}").is_err());
+        assert!(parse("{\"counts\": {\"a\": 1, \"a\": 2}}").is_err());
     }
 
     #[test]
-    fn parse_rejects_garbage() {
-        assert!(Baseline::parse("{}").is_err());
-        assert!(Baseline::parse("{\"counts\": {\"a\": -1}}").is_err());
-        assert!(Baseline::parse("{\"counts\": {\"a\": 1, \"a\": 2}}").is_err());
+    fn rises_fail_falls_tighten_and_new_keys_count_from_zero() {
+        let committed = counts(&[("rng_stream", 5), ("pool_pairing", 2), ("gone", 3)]);
+        let current = counts(&[("rng_stream", 6), ("pool_pairing", 1), ("new", 1)]);
+        let (rises, falls) = compare(&committed, &current);
+        let keys = |ds: &[Delta]| ds.iter().map(|d| d.0.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&rises), ["new", "rng_stream"]);
+        assert_eq!(keys(&falls), ["gone", "pool_pairing"]);
     }
 
     #[test]
-    fn rises_fail_falls_tighten() {
-        let b = Baseline::new(counts(&[("panic_path", 5), ("pool_pairing", 2)]));
-        let r = b.compare(&counts(&[("panic_path", 6), ("pool_pairing", 1)]));
-        assert!(!r.passed());
-        assert_eq!(r.rises.len(), 1);
-        assert_eq!(r.rises[0].key, "panic_path");
-        assert_eq!(r.falls.len(), 1);
-        assert_eq!(r.falls[0].key, "pool_pairing");
+    fn clippy_lints_come_from_the_workspace_table() {
+        let manifest = "[workspace.lints.rust]\nunsafe_code = \"forbid\"\n\n\
+                        [workspace.lints.clippy]\nunwrap_used = \"deny\"\npanic = \"deny\"\n\n\
+                        [package]\nname = \"x\"\n";
+        assert_eq!(
+            workspace_clippy_lints(manifest),
+            ["clippy::unwrap_used", "clippy::panic"]
+        );
     }
 
     #[test]
-    fn new_keys_count_from_zero() {
-        let b = Baseline::new(counts(&[]));
-        let r = b.compare(&counts(&[("stream_registry", 1)]));
-        assert_eq!(r.rises.len(), 1);
-        let r2 = Baseline::new(counts(&[("gone", 3)])).compare(&counts(&[]));
-        assert!(r2.passed());
-        assert_eq!(r2.falls.len(), 1);
+    fn clippy_json_counts_library_sites_once() {
+        let msg = |code: &str, file: &str, at: usize, end: usize| {
+            format!(
+                "{{\"reason\":\"compiler-message\",\"message\":{{\"message\":\"m\",\"code\":{{\"code\":\"{code}\",\"explanation\":null}},\"spans\":[{{\"file_name\":\"{file}\",\"byte_start\":{at},\"byte_end\":{end},\"is_primary\":true}}],\"children\":[]}}}}"
+            )
+        };
+        let out = [
+            msg("clippy::panic", "crates/rlnc/src/lib.rs", 10, 20),
+            msg("clippy::panic", "crates/rlnc/src/lib.rs", 10, 20), // reported twice
+            msg("clippy::indexing_slicing", "crates/rlnc/src/lib.rs", 30, 34), // m[i]
+            msg("clippy::indexing_slicing", "crates/rlnc/src/lib.rs", 30, 37), // m[i][j]
+            msg("clippy::panic", "crates/bench/src/lib.rs", 5, 9),  // tooling crate
+            msg("clippy::panic", "vendor/rand/src/lib.rs", 5, 9),
+            msg("dead_code", "crates/rlnc/src/lib.rs", 7, 9),
+            "{\"reason\":\"build-finished\",\"success\":true}".to_string(),
+        ]
+        .join("\n");
+        let lints = ["clippy::panic", "clippy::indexing_slicing", "clippy::todo"].map(String::from);
+        let expected = [
+            ("clippy::panic", 1),
+            ("clippy::indexing_slicing", 2),
+            ("clippy::todo", 0),
+        ];
+        assert_eq!(count_clippy_json(&out, &lints), counts(&expected));
     }
 }

@@ -1,18 +1,12 @@
 //! Line lexer: blanks comments and string/char-literal contents, records
-//! line-comment text, and marks `#[cfg(test)]` regions.
-//!
-//! The lexer is the analyzer's first stage: it turns raw source into
-//! per-line views where only *code* characters survive, so neither the
-//! line lints nor the tokenizer ([`crate::tokens`]) can be fooled by a
-//! lint keyword inside a string, a doc comment, or a nested block
+//! line-comment text, and marks `#[cfg(test)]` regions, so no lint can be
+//! fooled by a keyword inside a string, a doc comment, or a nested block
 //! comment.
 
 /// Per-line views of one source file.
 pub(crate) struct FileView {
-    /// Raw lines, as written.
-    pub raw: Vec<String>,
     /// Lines with comments and string/char-literal contents blanked to
-    /// spaces — what the token lints scan.
+    /// spaces — what the lints scan.
     pub code: Vec<String>,
     /// Whether each line sits in a `#[cfg(test)]` region.
     pub test: Vec<bool>,
@@ -21,159 +15,98 @@ pub(crate) struct FileView {
     pub comment: Vec<Option<String>>,
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum LexState {
     Normal,
     /// Nesting depth of `/* */`.
     Block(usize),
-    Str,
-    /// `r##"..."##` with this many hashes.
-    RawStr(usize),
+    /// Inside a string: `None` for `".."`, `Some(hashes)` for `r#".."#`.
+    Str(Option<usize>),
 }
 
 pub(crate) fn lex(text: &str) -> FileView {
-    let raw: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut code = Vec::with_capacity(raw.len());
-    let mut comment: Vec<Option<String>> = Vec::with_capacity(raw.len());
+    let (mut code, mut comment) = (Vec::new(), Vec::new());
     let mut state = LexState::Normal;
-
-    for line in &raw {
-        let bytes: Vec<char> = line.chars().collect();
-        let mut out = String::with_capacity(line.len());
-        let mut line_comment: Option<String> = None;
-        let mut i = 0;
-        while i < bytes.len() {
-            let c = bytes[i];
-            match state {
+    for line in text.lines() {
+        let chars: Vec<char> = line.chars().collect();
+        let (mut out, mut line_comment, mut i) = (String::new(), None, 0);
+        while i < chars.len() {
+            let (c, next) = (chars[i], chars.get(i + 1).copied());
+            let raw = raw_str_open(&chars, i);
+            let n = match state {
                 LexState::Block(depth) => {
-                    if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        state = LexState::Block(depth + 1);
-                        out.push_str("  ");
-                        i += 2;
-                    } else if c == '*' && bytes.get(i + 1) == Some(&'/') {
-                        state = if depth == 1 {
-                            LexState::Normal
-                        } else {
-                            LexState::Block(depth - 1)
-                        };
-                        out.push_str("  ");
-                        i += 2;
+                    let (n, depth) = match (c, next) {
+                        ('/', Some('*')) => (2, depth + 1),
+                        ('*', Some('/')) => (2, depth - 1),
+                        _ => (1, depth),
+                    };
+                    state = if depth == 0 {
+                        LexState::Normal
                     } else {
-                        out.push(' ');
-                        i += 1;
-                    }
+                        LexState::Block(depth)
+                    };
+                    n
                 }
-                LexState::Str => {
-                    if c == '\\' {
-                        out.push_str("  ");
-                        i += 2;
-                    } else if c == '"' {
+                LexState::Str(None) if c == '\\' => 2,
+                LexState::Str(raw) => {
+                    let hashes = raw.unwrap_or(0);
+                    if c == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#')) {
                         state = LexState::Normal;
-                        out.push(' ');
-                        i += 1;
+                        1 + hashes
                     } else {
-                        out.push(' ');
-                        i += 1;
+                        1
                     }
                 }
-                LexState::RawStr(hashes) => {
-                    if c == '"' && closes_raw(&bytes, i, hashes) {
-                        state = LexState::Normal;
-                        for _ in 0..=hashes {
-                            out.push(' ');
-                        }
-                        i += 1 + hashes;
-                    } else {
-                        out.push(' ');
-                        i += 1;
-                    }
+                LexState::Normal if c == '/' && next == Some('/') => {
+                    line_comment = Some(chars[i + 2..].iter().collect::<String>());
+                    chars.len() - i
                 }
+                LexState::Normal if c == '/' && next == Some('*') => {
+                    state = LexState::Block(1);
+                    2
+                }
+                LexState::Normal if c == '"' || raw.is_some() => {
+                    state = LexState::Str(raw);
+                    raw.map_or(1, |hashes| hashes + 2)
+                }
+                // A char literal closes with a quote after one (possibly
+                // escaped) character; any other quote starts a lifetime.
+                LexState::Normal if c == '\'' && next == Some('\\') => {
+                    let close = (i + 2..chars.len()).find(|&j| chars[j] == '\'');
+                    close.map_or(chars.len(), |j| j + 1) - i
+                }
+                LexState::Normal if c == '\'' && chars.get(i + 2) == Some(&'\'') => 3,
                 LexState::Normal => {
-                    if c == '/' && bytes.get(i + 1) == Some(&'/') {
-                        // Line comment: record its text, blank the rest.
-                        if line_comment.is_none() {
-                            line_comment = Some(bytes[i + 2..].iter().collect());
-                        }
-                        while i < bytes.len() {
-                            out.push(' ');
-                            i += 1;
-                        }
-                    } else if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        state = LexState::Block(1);
-                        out.push_str("  ");
-                        i += 2;
-                    } else if c == '"' {
-                        state = LexState::Str;
-                        out.push(' ');
-                        i += 1;
-                    } else if c == 'r' && is_raw_str_start(&bytes, i) {
-                        let hashes = count_hashes(&bytes, i + 1);
-                        state = LexState::RawStr(hashes);
-                        for _ in 0..hashes + 2 {
-                            out.push(' ');
-                        }
-                        i += hashes + 2;
-                    } else if c == '\'' {
-                        // Char literal vs lifetime: a literal closes with
-                        // a quote after one (possibly escaped) character.
-                        if bytes.get(i + 1) == Some(&'\\') {
-                            // Escaped char literal: skip to the closing quote.
-                            let mut j = i + 2;
-                            while j < bytes.len() && bytes[j] != '\'' {
-                                j += 1;
-                            }
-                            for _ in i..=j.min(bytes.len() - 1) {
-                                out.push(' ');
-                            }
-                            i = j + 1;
-                        } else if bytes.get(i + 2) == Some(&'\'') {
-                            out.push_str("   ");
-                            i += 3;
-                        } else {
-                            // Lifetime: keep as code.
-                            out.push('\'');
-                            i += 1;
-                        }
-                    } else {
-                        out.push(c);
-                        i += 1;
-                    }
+                    out.push(c);
+                    i += 1;
+                    continue;
                 }
-            }
+            };
+            out.extend(std::iter::repeat_n(' ', n));
+            i += n;
         }
         code.push(out);
         comment.push(line_comment);
     }
-
     let test = mark_test_regions(&code);
     FileView {
-        raw,
         code,
         test,
         comment,
     }
 }
 
-fn is_raw_str_start(bytes: &[char], i: usize) -> bool {
-    // `r"` or `r#...#"`, not part of an identifier like `striped_r`.
-    if i > 0 && (bytes[i - 1].is_alphanumeric() || bytes[i - 1] == '_') {
-        return false;
-    }
-    let hashes = count_hashes(bytes, i + 1);
-    bytes.get(i + 1 + hashes) == Some(&'"')
-}
-
-fn count_hashes(bytes: &[char], mut i: usize) -> usize {
-    let mut n = 0;
-    while bytes.get(i) == Some(&'#') {
-        n += 1;
-        i += 1;
-    }
-    n
-}
-
-fn closes_raw(bytes: &[char], i: usize, hashes: usize) -> bool {
-    (1..=hashes).all(|k| bytes.get(i + k) == Some(&'#'))
+/// `Some(hashes)` when a raw string `r#.."` opens at `i` (and the `r` is
+/// not the end of an identifier like `striped_r`).
+fn raw_str_open(chars: &[char], i: usize) -> Option<usize> {
+    let in_ident = i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_');
+    let hashes = chars
+        .get(i + 1..)?
+        .iter()
+        .take_while(|&&c| c == '#')
+        .count();
+    let opens = chars[i] == 'r' && !in_ident && chars.get(i + 1 + hashes) == Some(&'"');
+    opens.then_some(hashes)
 }
 
 /// Marks the lines covered by `#[cfg(test)]` items: from the attribute
@@ -185,13 +118,10 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     let mut pending = false;
 
     for (i, line) in code.iter().enumerate() {
-        if region_depth.is_some() || pending {
-            test[i] = true;
-        }
         if line.contains("#[cfg(test") {
             pending = true;
-            test[i] = true;
         }
+        test[i] = region_depth.is_some() || pending;
         for c in line.chars() {
             match c {
                 '{' => {
@@ -199,7 +129,6 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
                     if pending && region_depth.is_none() {
                         region_depth = Some(depth);
                         pending = false;
-                        test[i] = true;
                     }
                 }
                 '}' => {
@@ -218,29 +147,6 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     test
 }
 
-/// `needle` appears in `haystack` delimited by non-identifier chars.
-pub(crate) fn contains_word(haystack: &str, needle: &str) -> bool {
-    find_word(haystack, needle).is_some()
-}
-
-pub(crate) fn find_word(haystack: &str, needle: &str) -> Option<usize> {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut from = 0;
-    while let Some(pos) = haystack[from..].find(needle) {
-        let at = from + pos;
-        let before_ok = at == 0 || !haystack[..at].chars().next_back().is_some_and(is_ident);
-        let after_ok = !haystack[at + needle.len()..]
-            .chars()
-            .next()
-            .is_some_and(is_ident);
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + needle.len();
-    }
-    None
-}
-
 #[cfg(test)]
 mod test {
     use super::*;
@@ -251,6 +157,7 @@ mod test {
             "let x = \"HashMap\"; // HashMap\nlet y = 'a';\n/* HashMap\nHashMap */ let z = 1;\n",
         );
         assert!(!v.code[0].contains("HashMap"), "{}", v.code[0]);
+        assert_eq!(v.comment[0].as_deref(), Some(" HashMap"));
         assert!(!v.code[1].contains('a'));
         assert!(!v.code[2].contains("HashMap"));
         assert!(v.code[3].contains("let z"));
@@ -259,11 +166,12 @@ mod test {
 
     #[test]
     fn lexer_blanks_string_quotes_entirely() {
-        let v = lex("let s = \"a[0].unwrap()\";\nlet r = r#\"x[1]\"#;\n");
+        let v = lex("let s = \"a[0].unwrap()\";\nlet r = r#\"x[1]\"#;\nlet c = '\\n';\n");
         assert!(!v.code[0].contains('"'), "{:?}", v.code[0]);
         assert!(!v.code[0].contains("unwrap"));
         assert!(!v.code[1].contains('"'), "{:?}", v.code[1]);
         assert!(!v.code[1].contains("x[1]"));
+        assert_eq!(v.code[2].trim_end(), "let c =     ;");
     }
 
     #[test]
@@ -276,12 +184,5 @@ mod test {
     fn cfg_test_regions_cover_the_gated_item() {
         let v = lex("fn a() {}\n#[cfg(test)]\nmod test {\n    fn b() {}\n}\nfn c() {}\n");
         assert_eq!(v.test, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn word_boundaries_respected() {
-        assert!(contains_word("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_word("forbid(unsafe_code)", "unsafe"));
-        assert!(!contains_word("MyHashMapLike", "HashMap"));
     }
 }

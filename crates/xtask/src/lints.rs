@@ -1,671 +1,315 @@
-//! The lint implementations: the line-based determinism lints and unsafe
-//! audit carried over from the v1 analyzer, plus the expression-aware
-//! families (`panic_path`, `stream_registry`, `pool_pairing`,
-//! `must_use_api`) that run over the parsed item/expression model.
+//! The lint implementations: `float_ord` over the lexer's blanked lines,
+//! the unsafe inventory, and the token lints over the parsed items.
 
-use crate::lexer::{contains_word, find_word, FileView};
-use crate::parser::ParsedFile;
-use crate::tokens::TokKind;
-use crate::{Ctx, Finding, Lint, Report, UnsafeSite};
+use std::collections::{BTreeMap, BTreeSet};
 
-// ---------------------------------------------------------------------
-// Path classification.
-// ---------------------------------------------------------------------
+use crate::lexer::FileView;
+use crate::parser::{last_path_segment, scan_to, ParsedFile, Token};
+use crate::{FileEntry, Finding, Lint, UnsafeSite};
 
-/// Crates whose containers can leak iteration order into tie-breaks,
-/// RNG draws, or serialized records.
-pub const ENGINE_CRATES: [&str; 6] = [
-    "mesh-sim",
-    "scenario",
-    "more-core",
-    "baselines",
-    "rlnc",
-    "mesh-metrics",
-];
-
-/// Which crate (the `crates/<name>` directory) a workspace-relative path
-/// belongs to, if any.
-pub(crate) fn crate_of(file: &str) -> Option<&str> {
-    let rest = file.strip_prefix("crates/")?;
-    rest.split('/').next()
-}
-
-pub(crate) fn is_engine_crate(file: &str) -> bool {
-    crate_of(file).is_some_and(|c| ENGINE_CRATES.contains(&c))
-}
-
-/// Library crates: everything that ships simulation or coding logic.
-/// `bench` and `xtask` are operator tooling — panicking on bad input is
-/// the right behavior there, so `panic_path` does not apply.
+/// Library crates: everything that ships simulation or coding logic, not
+/// the operator tooling in `crates/bench` and `crates/xtask`.
 pub(crate) fn is_library_crate(file: &str) -> bool {
-    match crate_of(file) {
-        Some(c) => !matches!(c, "bench" | "xtask"),
+    match file.strip_prefix("crates/") {
+        Some(rest) => !rest.starts_with("bench/") && !rest.starts_with("xtask/"),
         None => file.starts_with("src/"),
     }
 }
 
-/// Crates whose public APIs the `must_use_api` lint covers.
-pub(crate) fn is_must_use_crate(file: &str) -> bool {
-    matches!(crate_of(file), Some("scenario") | Some("mesh-sim"))
-}
-
-/// Paths that hold test or bench harness code: exempt from the
-/// determinism and panic-path lints (tests pin literal seeds and unwrap
-/// on purpose).
+/// Test, bench, and example paths.
 pub(crate) fn is_test_path(file: &str) -> bool {
-    file.starts_with("tests/")
-        || file.contains("/tests/")
-        || file.starts_with("benches/")
-        || file.contains("/benches/")
-        || file.starts_with("examples/")
-        || file.contains("/examples/")
+    ["tests/", "benches/", "examples/"]
+        .iter()
+        .any(|d| file.starts_with(d) || file.contains(&format!("/{d}")))
 }
 
-/// Crate roots that must carry `#![forbid(unsafe_code)]`: every
-/// `crates/<name>/src/lib.rs` except gf256 (the one crate allowed
-/// `unsafe`), plus the umbrella `src/lib.rs`.
-pub(crate) fn requires_forbid(file: &str) -> bool {
-    if file == "src/lib.rs" {
-        return true;
-    }
-    match (
-        crate_of(file),
-        file.split('/').collect::<Vec<_>>().as_slice(),
-    ) {
-        (Some(c), ["crates", _, "src", "lib.rs"]) => c != "gf256",
-        _ => false,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Line-based determinism lints (v1 families).
-// ---------------------------------------------------------------------
-
-pub(crate) fn run_line_lints(file: &str, view: &FileView, findings: &mut Vec<Finding>) {
-    let in_bench_crate = crate_of(file) == Some("bench");
-    let engine = is_engine_crate(file);
-    let test_path = is_test_path(file);
-
-    for (i, code) in view.code.iter().enumerate() {
-        let line = i + 1;
-        if test_path || view.test[i] {
-            continue; // determinism lints skip test code
+/// `float_ord`: `partial_cmp` with an unwrap-style call on the same or
+/// the next line.
+pub(crate) fn run_float_ord(e: &FileEntry, findings: &mut Vec<Finding>) {
+    let code = &e.view.code;
+    for (i, line) in code.iter().enumerate().filter(|(i, _)| !e.view.test[*i]) {
+        let next = code.get(i + 1).map_or("", String::as_str);
+        let unwrapped = [line, next].iter().any(|l| {
+            l.contains(".unwrap()") || l.contains(".expect(") || l.contains(".unwrap_or(")
+        });
+        if line.contains("partial_cmp") && !line.contains("fn partial_cmp") && unwrapped {
+            let message = "float ordering via partial_cmp + unwrap/expect/unwrap_or panics (or \
+                           lies) on NaN; use f64::total_cmp for a deterministic total order";
+            findings.push(Finding::new(Lint::FloatOrd, &e.rel, i + 1, message));
         }
-        let push = |lint: Lint, message: String, findings: &mut Vec<Finding>| {
-            findings.push(Finding {
-                lint,
-                file: file.to_string(),
-                line,
-                message,
-            });
-        };
+    }
+}
 
-        if engine && (contains_word(code, "HashMap") || contains_word(code, "HashSet")) {
+/// Inventories every `unsafe` in the file. Undocumented `unsafe fn` and
+/// `unsafe trait` declarations are findings; blocks and impls are
+/// clippy's `undocumented_unsafe_blocks`.
+pub(crate) fn run_unsafe_audit(e: &FileEntry, findings: &mut Vec<Finding>) -> Vec<UnsafeSite> {
+    let toks = &e.parsed.tokens;
+    let mut sites = Vec::new();
+    for (i, t) in toks.iter().enumerate().filter(|(_, t)| t.is("unsafe")) {
+        let is_kind = |k: &&str| toks.get(i + 1).is_some_and(|n| n.is(k));
+        let kind = ["fn", "impl", "trait"].into_iter().find(is_kind);
+        let (kind, line) = (kind.unwrap_or("block"), t.line);
+        let (file, safety) = (e.rel.clone(), safety_comment(&e.view, line - 1));
+        if safety.is_none() && matches!(kind, "fn" | "trait") {
+            let msg = format!("unsafe {kind} without a `// SAFETY:` comment on or above it");
+            findings.push(Finding::new(Lint::UndocumentedUnsafe, &file, line, msg));
+        }
+        sites.push(UnsafeSite {
+            file,
+            line,
+            kind,
+            safety,
+        });
+    }
+    sites
+}
+
+/// The `SAFETY:` text for an unsafe site on line `i` (0-based): on the
+/// same line, or in the contiguous comment and attribute lines above.
+fn safety_comment(view: &FileView, i: usize) -> Option<String> {
+    let above = (0..i).rev().take_while(|&j| {
+        let code = view.code[j].trim();
+        (code.is_empty() && view.comment[j].is_some()) || code.starts_with('#')
+    });
+    let extract = |c: &String| c.split_once("SAFETY:").map(|(_, t)| t.trim().to_string());
+    std::iter::once(i)
+        .chain(above)
+        .find_map(|j| view.comment[j].as_ref().and_then(extract))
+}
+
+/// What the cross-file lints know of the whole workspace: the RNG stream
+/// registry (the file whose line comment is exactly `// xtask:
+/// stream-registry`, and the constants it defines) and the `#[must_use]`
+/// types.
+#[derive(Default)]
+pub(crate) struct Registry {
+    /// Files carrying the marker (at most one is legitimate).
+    pub files: Vec<String>,
+    /// Registered stream constants: name → (file, line, value tokens).
+    pub streams: BTreeMap<String, (String, usize, String)>,
+    /// The structs and enums declared `#[must_use]`.
+    pub must_use_types: BTreeSet<String>,
+}
+
+fn is_stream_name(name: &str) -> bool {
+    name.len() > "_STREAM".len() && name.ends_with("_STREAM")
+}
+
+/// Finds the registry and checks that stream names are workspace-unique
+/// and registered values distinct: equal XOR constants would collapse two
+/// streams into one RNG sequence.
+pub(crate) fn build_registry(entries: &[FileEntry]) -> (Registry, Vec<Finding>) {
+    let mut findings = Vec::new();
+    let mut push = |file: &str, line, msg| {
+        let lint = Lint::StreamRegistry;
+        findings.push(Finding::new(lint, file, line, msg));
+    };
+    let marked = |e: &&FileEntry| {
+        let mut comments = e.view.comment.iter().flatten();
+        comments.any(|c| c.trim() == "xtask: stream-registry")
+    };
+    let files = entries.iter().filter(marked).map(|e| e.rel.clone());
+    let mut reg = Registry {
+        files: files.collect(),
+        must_use_types: must_use_types(entries),
+        ..Registry::default()
+    };
+    for extra in reg.files.iter().skip(1) {
+        let msg = format!("a second registry marker (the first is `{}`)", reg.files[0]);
+        push(extra, 1, msg);
+    }
+    let mut seen: BTreeMap<&str, (&str, usize)> = BTreeMap::new();
+    for e in entries {
+        let streams = e.parsed.consts.iter().filter(|c| is_stream_name(&c.name));
+        for c in streams.filter(|c| !e.view.test[c.line - 1]) {
+            if let Some((first, line)) = seen.insert(&c.name, (&e.rel, c.line)) {
+                let msg = format!("`{}` is already defined at {first}:{line}", c.name);
+                push(&e.rel, c.line, msg);
+            }
+            if reg.files.contains(&e.rel) {
+                let def = (e.rel.clone(), c.line, c.value.clone());
+                reg.streams.insert(c.name.clone(), def);
+            }
+        }
+    }
+    let mut by_value: BTreeMap<&str, &str> = BTreeMap::new();
+    for (name, (file, line, value)) in &reg.streams {
+        if let Some(other) = by_value.insert(value, name).filter(|_| !value.is_empty()) {
             push(
-                Lint::HashIteration,
-                "hash containers iterate in RandomState order, which can leak into \
-                 tie-breaks, RNG draws, and serialized records; use BTreeMap/BTreeSet \
-                 (or allowlist a lookup-only use with a justification)"
-                    .to_string(),
-                findings,
+                file,
+                *line,
+                format!("`{name}` has the same value as `{other}`"),
             );
         }
+    }
+    (reg, findings)
+}
 
-        if !in_bench_crate && (code.contains("Instant::now") || contains_word(code, "SystemTime")) {
-            push(
-                Lint::WallClock,
-                "wall-clock reads outside crates/bench break run reproducibility; \
-                 simulated time is the only clock the engine may consult"
-                    .to_string(),
-                findings,
-            );
-        }
-
-        if !in_bench_crate {
-            if contains_word(code, "thread_rng") || contains_word(code, "from_entropy") {
-                push(
-                    Lint::RngStream,
-                    "entropy-seeded RNGs make runs irreproducible; derive every RNG \
-                     from the run seed via a named *_STREAM constant"
-                        .to_string(),
-                    findings,
+/// `rng_stream` (outside `crates/bench`), `stream_registry` references,
+/// `pool_pairing` (in library crates) and `must_use_api` (in scenario and
+/// mesh-sim).
+pub(crate) fn run_token_lints(e: &FileEntry, reg: &Registry, findings: &mut Vec<Finding>) {
+    let pf = &e.parsed;
+    let mut push = |lint, t: &Token, msg| findings.push(Finding::new(lint, &e.rel, t.line, msg));
+    let live = |(_, t): &(usize, &Token)| !e.view.test[t.line - 1];
+    for (i, t) in pf.tokens.iter().enumerate().filter(live) {
+        let next = |k: usize| pf.tokens.get(i + k).map_or("", |t| t.text.as_str());
+        if t.is("seed_from_u64") && next(1) == "(" && !e.rel.starts_with("crates/bench/") {
+            let arg = &pf.tokens[i + 2..scan_to(&pf.tokens, i + 2, &[")"])];
+            let texts = || arg.iter().map(|t| t.text.as_str());
+            // The bare seed (`seed`, `self.seed`, ...) or a named stream.
+            let plain = arg.iter().all(|t| t.is_word() || t.is(".") || t.is("::"));
+            let bare_seed = plain && texts().any(|t| t.contains("seed"));
+            if !(bare_seed || texts().any(is_stream_name)) {
+                let arg = texts().collect::<Vec<_>>().join(" ");
+                let msg = format!(
+                    "`seed_from_u64({arg})` is not derived from the run seed; pass the bare \
+                     seed or `seed ^ <NAME>_STREAM` with a named stream constant"
                 );
+                push(Lint::RngStream, t, msg);
             }
-            for arg in call_args(code, "seed_from_u64") {
-                if !seed_arg_ok(&arg) {
-                    push(
-                        Lint::RngStream,
-                        format!(
-                            "`seed_from_u64({arg})` is not derived from the run seed; \
-                             pass the bare seed or `seed ^ <NAME>_STREAM` with a named \
-                             stream constant"
-                        ),
-                        findings,
-                    );
-                }
-            }
-        }
-
-        if code.contains("partial_cmp") && !code.contains("fn partial_cmp") {
-            let next = view.code.get(i + 1).map(String::as_str).unwrap_or("");
-            let unwrapped = [code, next].iter().any(|l| {
-                l.contains(".unwrap()") || l.contains(".expect(") || l.contains(".unwrap_or(")
-            });
-            if unwrapped {
-                push(
-                    Lint::FloatOrd,
-                    "float ordering via partial_cmp + unwrap/expect/unwrap_or panics \
-                     (or lies) on NaN; use f64::total_cmp for a deterministic total \
-                     order"
-                        .to_string(),
-                    findings,
+        } else if is_stream_name(&t.text) {
+            let defined_here = pf
+                .consts
+                .iter()
+                .any(|c| c.name == t.text && c.line == t.line);
+            let msg = if defined_here && !reg.files.contains(&e.rel) {
+                "is defined outside the registry"
+            } else if !defined_here && !reg.streams.contains_key(&t.text) {
+                "is not a registered stream"
+            } else {
+                continue;
+            };
+            push(Lint::StreamRegistry, t, format!("`{}` {msg}", t.text));
+        } else if t.is("pool") && next(1) == "::" && is_library_crate(&e.rel) {
+            let releases: &[&str] = match next(2) {
+                "acquire" => &["release", "release_mut"],
+                "acquire_vec" => &["release_vec"],
+                _ => continue,
+            };
+            if !acquire_is_paired(pf, i, releases) {
+                let (acquire, release) = (next(2), releases.join("`/`pool::"));
+                let msg = format!(
+                    "`pool::{acquire}` has no reachable `pool::{release}` in this impl, a \
+                     sibling inherent impl, or the type's Drop impl; pair it, or document \
+                     the ownership transfer with an allow"
                 );
+                push(Lint::PoolPairing, t, msg);
+            }
+        } else if t.is("fn") {
+            if let Some(msg) = must_use_api(e, i, &reg.must_use_types) {
+                push(Lint::MustUseApi, t, msg);
             }
         }
     }
 }
 
-/// Extracts the argument text of each `name(...)` call on a code line.
-fn call_args(code: &str, name: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(name) {
-        let start = from + pos + name.len();
-        from = start;
-        let rest = &code[start..];
-        if !rest.starts_with('(') {
-            continue;
-        }
-        let mut depth = 0usize;
-        let mut end = rest.len();
-        for (j, c) in rest.char_indices() {
-            match c {
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = j;
-                        break;
-                    }
-                }
-                _ => {}
+/// Whether the attributes of the item whose keyword is token `end` name
+/// `attr`: every token between the previous `;`, `{` or `}` and the
+/// keyword is an attribute or a qualifier such as `pub`.
+fn has_attr(toks: &[Token], end: usize, attr: &str) -> bool {
+    let head = toks[..end].iter().rev();
+    head.take_while(|t| !(t.is(";") || t.is("{") || t.is("}")))
+        .any(|t| t.is(attr))
+}
+
+/// The names of the structs and enums declared `#[must_use]`.
+fn must_use_types(entries: &[FileEntry]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for toks in entries.iter().map(|e| &e.parsed.tokens) {
+        let types = (0..toks.len()).filter(|&i| toks[i].is("struct") || toks[i].is("enum"));
+        for i in types {
+            if has_attr(toks, i, "must_use") {
+                out.extend(toks.get(i + 1).map(|t| t.text.clone()));
             }
         }
-        out.push(rest[1..end].trim().to_string());
     }
     out
 }
 
-/// A `seed_from_u64` argument is acceptable when it references a named
-/// `*_STREAM` constant, or is a plain path expression mentioning the
-/// seed (`seed`, `run_seed`, `self.seed`, …) with no arithmetic.
-fn seed_arg_ok(arg: &str) -> bool {
-    if arg.contains("_STREAM") {
-        return true;
-    }
-    let plain = arg
-        .chars()
-        .all(|c| c.is_alphanumeric() || matches!(c, '_' | '.' | ':' | ' '));
-    plain && arg.to_lowercase().contains("seed")
-}
-
-// ---------------------------------------------------------------------
-// Unsafe audit.
-// ---------------------------------------------------------------------
-
-pub(crate) fn run_unsafe_audit(
-    file: &str,
-    view: &FileView,
-    findings: &mut Vec<Finding>,
-    report: &mut Report,
-) {
-    for (i, code) in view.code.iter().enumerate() {
-        let mut from = 0;
-        while let Some(pos) = find_word(&code[from..], "unsafe") {
-            let at = from + pos;
-            from = at + "unsafe".len();
-            let after = code[from..].trim_start();
-            let kind = if after.starts_with("fn") {
-                "fn"
-            } else if after.starts_with("impl") {
-                "impl"
-            } else if after.starts_with("trait") {
-                "trait"
-            } else {
-                "block"
-            };
-            let safety = safety_comment(view, i);
-            if safety.is_none() {
-                findings.push(Finding {
-                    lint: Lint::UndocumentedUnsafe,
-                    file: file.to_string(),
-                    line: i + 1,
-                    message: format!(
-                        "unsafe {kind} without a `// SAFETY:` comment on or directly \
-                         above it"
-                    ),
-                });
-            }
-            report.unsafe_sites.push(UnsafeSite {
-                file: file.to_string(),
-                line: i + 1,
-                kind,
-                safety,
-            });
-        }
-    }
-}
-
-/// The `SAFETY:` text for an unsafe site on line `i` (0-based): trailing
-/// on the same raw line, or in the contiguous block of comments and
-/// attributes directly above.
-fn safety_comment(view: &FileView, i: usize) -> Option<String> {
-    let extract = |raw: &str| {
-        raw.find("SAFETY:")
-            .map(|p| raw[p + "SAFETY:".len()..].trim().to_string())
-    };
-    if let Some(text) = view.comment[i].as_deref().and_then(extract) {
-        return Some(text);
-    }
-    for j in (0..i).rev() {
-        let t = view.raw[j].trim();
-        if t.starts_with("//") {
-            if let Some(text) = extract(t) {
-                return Some(text);
-            }
-        } else if !t.starts_with("#[") && !t.starts_with("#![") {
-            break;
-        }
-    }
-    None
-}
-
-pub(crate) fn run_forbid_lint(file: &str, view: &FileView, findings: &mut Vec<Finding>) {
-    if !requires_forbid(file) {
-        return;
-    }
-    let has = view
-        .code
-        .iter()
-        .any(|l| l.replace(' ', "").contains("#![forbid(unsafe_code)]"));
-    if !has {
-        findings.push(Finding {
-            lint: Lint::MissingForbid,
-            file: file.to_string(),
-            line: 1,
-            message: "crate root lacks #![forbid(unsafe_code)]; only crates/gf256 may \
-                      contain unsafe so the audit inventory stays in one place"
-                .to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// Expression-aware lints (v2 families).
-// ---------------------------------------------------------------------
-
-/// Panicking method calls `panic_path` flags.
-const PANICKY_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
-/// Panicking macros `panic_path` flags. `assert*!` is deliberately not
-/// here: an explicit assertion is a documented contract, not an
-/// accidental panic path.
-const PANICKY_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// Keywords that make a following `[` an array literal or pattern, not an
-/// index expression.
-const NON_INDEX_PREV: [&str; 16] = [
-    "return", "break", "continue", "if", "else", "match", "in", "loop", "while", "for", "move",
-    "ref", "let", "use", "mod", "where",
-];
-
-pub(crate) fn run_expr_lints(
-    file: &str,
-    pf: &ParsedFile,
-    view: &FileView,
-    ctx: &Ctx,
-    findings: &mut Vec<Finding>,
-) {
-    let test_path = is_test_path(file);
-    let exempt = |line: usize| test_path || view.test.get(line - 1).copied().unwrap_or(false);
-    let library = is_library_crate(file);
-    let is_registry = ctx.registry_files.iter().any(|f| f == file);
-
-    for (i, t) in pf.tokens.iter().enumerate() {
-        if pf.in_attr(i) || exempt(t.line) {
-            continue;
-        }
-
-        // --- stream_registry: every *_STREAM identifier must resolve to
-        // a constant defined in the canonical registry module.
-        if t.kind == TokKind::Ident && t.text.ends_with("_STREAM") && t.text.len() > "_STREAM".len()
-        {
-            let is_def_here = pf
-                .consts
-                .iter()
-                .any(|c| c.name == t.text && c.line == t.line);
-            if is_def_here {
-                if !is_registry {
-                    findings.push(Finding {
-                        lint: Lint::StreamRegistry,
-                        file: file.to_string(),
-                        line: t.line,
-                        message: format!(
-                            "stream constant `{}` is defined outside the canonical \
-                             registry module (the file marked `// xtask: \
-                             stream-registry`); move it there so every RNG stream \
-                             stays workspace-unique and auditable in one place",
-                            t.text
-                        ),
-                    });
-                }
-            } else if !ctx.streams.contains_key(&t.text) {
-                let hint = if ctx.registry_files.is_empty() {
-                    "no stream-registry module exists yet (mark one with a `// xtask: \
-                     stream-registry` comment)"
-                } else {
-                    "add it to the registry module"
-                };
-                findings.push(Finding {
-                    lint: Lint::StreamRegistry,
-                    file: file.to_string(),
-                    line: t.line,
-                    message: format!(
-                        "`{}` does not name a registered stream constant; {hint}",
-                        t.text
-                    ),
-                });
-            }
-        }
-
-        if !library {
-            continue;
-        }
-
-        // --- panic_path: unwrap/expect method calls.
-        if t.is(".") {
-            if let (Some(name), Some(paren)) = (pf.tokens.get(i + 1), pf.tokens.get(i + 2)) {
-                if name.kind == TokKind::Ident
-                    && PANICKY_METHODS.contains(&name.text.as_str())
-                    && paren.is("(")
-                    && !exempt(name.line)
-                {
-                    findings.push(Finding {
-                        lint: Lint::PanicPath,
-                        file: file.to_string(),
-                        line: name.line,
-                        message: format!(
-                            "`.{}(..)` panics in library code; return a typed error \
-                             (or justify the invariant with an allow)",
-                            name.text
-                        ),
-                    });
-                }
-            }
-        }
-
-        // --- panic_path: panicking macros.
-        if t.kind == TokKind::Ident
-            && PANICKY_MACROS.contains(&t.text.as_str())
-            && pf.tokens.get(i + 1).is_some_and(|n| n.is("!"))
-        {
-            findings.push(Finding {
-                lint: Lint::PanicPath,
-                file: file.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}!` in library code aborts the whole simulation; return a \
-                     typed error (or justify the invariant with an allow)",
-                    t.text
-                ),
-            });
-        }
-
-        // --- panic_path: direct indexing inside fn bodies.
-        if t.is("[") && i > 0 && pf.enclosing_fn(i).is_some() {
-            let prev = &pf.tokens[i - 1];
-            let indexes = match prev.kind {
-                TokKind::Ident => !NON_INDEX_PREV.contains(&prev.text.as_str()),
-                TokKind::Punct => prev.is("]") || prev.is(")"),
-                _ => false,
-            };
-            // `[..]` (RangeFull) cannot panic on a slice/Vec.
-            let range_full = pf.tokens.get(i + 1).is_some_and(|n| n.is(".."))
-                && pf.tokens.get(i + 2).is_some_and(|n| n.is("]"));
-            if indexes && !range_full && !pf.in_attr(i - 1) {
-                findings.push(Finding {
-                    lint: Lint::PanicPath,
-                    file: file.to_string(),
-                    line: t.line,
-                    message: "direct indexing panics when out of bounds; use get()/\
-                              iterators, or justify the bound with an allow"
-                        .to_string(),
-                });
-            }
-        }
-
-        // --- pool_pairing: acquire sites need a reachable release.
-        if t.kind == TokKind::Ident
-            && t.is("pool")
-            && pf.tokens.get(i + 1).is_some_and(|n| n.is("::"))
-        {
-            if let Some(callee) = pf.tokens.get(i + 2) {
-                let flavor = match callee.text.as_str() {
-                    "acquire" => Some(PoolFlavor::Buffer),
-                    "acquire_vec" => Some(PoolFlavor::Vec),
-                    _ => None,
-                };
-                if let Some(flavor) = flavor {
-                    if !acquire_is_paired(pf, i, flavor) {
-                        findings.push(Finding {
-                            lint: Lint::PoolPairing,
-                            file: file.to_string(),
-                            line: callee.line,
-                            message: format!(
-                                "`pool::{}` has no reachable `pool::{}` in the same \
-                                 impl (or a Drop impl for the same type in this \
-                                 file); pair it, or document the ownership transfer \
-                                 with an allow",
-                                callee.text,
-                                flavor.release_names().join("`/`pool::"),
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    run_must_use_lint(file, pf, ctx, findings, &exempt);
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum PoolFlavor {
-    /// Flat packet buffers: `acquire` ↔ `release`/`release_mut`.
-    Buffer,
-    /// Row vectors: `acquire_vec` ↔ `release_vec`.
-    Vec,
-}
-
-impl PoolFlavor {
-    fn release_names(self) -> &'static [&'static str] {
-        match self {
-            PoolFlavor::Buffer => &["release", "release_mut"],
-            PoolFlavor::Vec => &["release_vec"],
-        }
-    }
+/// The `must_use_api` finding for the fn whose keyword is token `i`, in
+/// scenario and mesh-sim: a `pub fn` that returns `Self` or a `*Builder`
+/// by value needs `#[must_use]` on itself or on the returned type.
+/// Clippy's `return_self_not_must_use` covers the methods that take
+/// `self` and return their own type; this covers the rest: constructors,
+/// free fns, and methods that return another builder.
+fn must_use_api(e: &FileEntry, i: usize, types: &BTreeSet<String>) -> Option<String> {
+    let (pf, toks) = (&e.parsed, &e.parsed.tokens);
+    let rest = e.rel.strip_prefix("crates/")?;
+    (rest.starts_with("scenario/") || rest.starts_with("mesh-sim/")).then_some(())?;
+    let open = scan_to(toks, i + 1, &["("]);
+    let close = scan_to(toks, open + 1, &[")"]);
+    (has_attr(toks, i, "pub") && toks.get(close + 1)?.is("->")).then_some(())?;
+    let ret = &toks[close + 2..scan_to(toks, close + 2, &["{", ";", "where"])];
+    ret.first().filter(|t| t.is_word() && !t.is("impl"))?;
+    let own = pf.enclosing_impl(i).map(|im| im.type_name.as_str());
+    let base = last_path_segment(ret);
+    let ty = (base != "Self").then_some(base.as_str()).or(own)?;
+    let first_param = &toks[open + 1..scan_to(toks, open + 1, &[",", ")"])];
+    let clippys = first_param.iter().any(|t| t.is("self")) && Some(ty) == own;
+    let covered = clippys || types.contains(ty) || has_attr(toks, i, "must_use");
+    let name = &toks[i + 1].text;
+    let msg = format!(
+        "public fn `{name}` returns `{ty}` by value, so a dropped result is silently lost; add \
+         #[must_use] to the fn or to `{ty}`"
+    );
+    (!covered && (base == "Self" || ty.ends_with("Builder"))).then_some(msg)
 }
 
 /// Whether the acquire at token `i` has a matching release in the same
-/// impl block, in a Drop impl for the same type in this file, or (for
-/// free functions) in the same fn body.
-fn acquire_is_paired(pf: &ParsedFile, i: usize, flavor: PoolFlavor) -> bool {
-    let released_within = |span: (usize, usize)| {
-        (span.0..=span.1.min(pf.tokens.len().saturating_sub(1))).any(|j| {
-            pf.tokens[j].is("pool")
-                && pf.tokens.get(j + 1).is_some_and(|n| n.is("::"))
-                && pf
-                    .tokens
-                    .get(j + 2)
-                    .is_some_and(|n| flavor.release_names().contains(&n.text.as_str()))
-        })
+/// impl block, a sibling inherent impl or Drop impl of the same type in
+/// this file, or (for free functions) in the same fn body. A release in
+/// an unrelated trait impl does not count.
+fn acquire_is_paired(pf: &ParsedFile, i: usize, releases: &[&str]) -> bool {
+    let released_within = |(a, b): (usize, usize)| {
+        let span = pf.tokens.get(a..=b).unwrap_or_default();
+        span.windows(3)
+            .any(|w| w[0].is("pool") && w[1].is("::") && releases.contains(&w[2].text.as_str()))
     };
     match pf.enclosing_impl(i) {
-        // The release may live in the same impl, a sibling *inherent*
-        // impl of the same type, or that type's Drop impl — but a release
-        // inside some unrelated trait impl doesn't make the acquire safe.
         Some(im) => pf.impls.iter().any(|other| {
-            other.type_name == im.type_name
-                && (other.span == im.span
-                    || other.trait_name.is_none()
-                    || other.trait_name.as_deref() == Some("Drop"))
-                && released_within(other.span)
+            let related =
+                other.span == im.span || other.trait_name.as_deref().is_none_or(|t| t == "Drop");
+            other.type_name == im.type_name && related && released_within(other.span)
         }),
-        None => pf
-            .enclosing_fn(i)
-            .and_then(|f| f.body)
-            .is_some_and(released_within),
+        None => pf.enclosing_fn(i).is_some_and(released_within),
     }
-}
-
-/// `must_use_api`: public builder- or `Self`-returning fns in the
-/// scenario and mesh-sim crates must be un-ignorable. `Result`/`Option`
-/// returns satisfy the lint intrinsically (the std types are already
-/// `#[must_use]`, and doubling the attribute would trip
-/// `clippy::double_must_use`).
-fn run_must_use_lint(
-    file: &str,
-    pf: &ParsedFile,
-    ctx: &Ctx,
-    findings: &mut Vec<Finding>,
-    exempt: &dyn Fn(usize) -> bool,
-) {
-    if !is_must_use_crate(file) {
-        return;
-    }
-    for f in &pf.fns {
-        if !f.is_pub || exempt(f.line) || f.ret.is_empty() {
-            continue;
-        }
-        // By-reference and opaque returns don't need the attribute: the
-        // receiver still owns the data.
-        if matches!(f.ret[0].as_str(), "&" | "impl" | "(") {
-            continue;
-        }
-        let base = leading_path_segment(&f.ret);
-        if base.is_empty() || matches!(base.as_str(), "Result" | "Option") {
-            continue; // Result/Option are intrinsically #[must_use]
-        }
-        let needs = base == "Self" || base.ends_with("Builder");
-        if !needs {
-            continue;
-        }
-        let resolved = if base == "Self" {
-            match &f.impl_type {
-                Some(t) => t.clone(),
-                None => continue, // trait signature: impls resolve it
-            }
-        } else {
-            base.clone()
-        };
-        let satisfied = f.must_use || ctx.must_use_types.contains(&resolved);
-        if !satisfied {
-            findings.push(Finding {
-                lint: Lint::MustUseApi,
-                file: file.to_string(),
-                line: f.line,
-                message: format!(
-                    "public fn `{}` returns `{base}` by value; dropping it silently \
-                     discards the configured {resolved} — add #[must_use] to the fn \
-                     or to `{resolved}` itself",
-                    f.name
-                ),
-            });
-        }
-    }
-}
-
-/// Last identifier of the leading path of a return-type token list:
-/// `io :: Result < () >` → `Result`, `Self` → `Self`.
-fn leading_path_segment(ret: &[String]) -> String {
-    let mut last = String::new();
-    let mut i = 0;
-    while i < ret.len() {
-        let t = &ret[i];
-        let is_ident = t
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphabetic() || c == '_');
-        if is_ident {
-            last = t.clone();
-            match ret.get(i + 1) {
-                Some(n) if n == "::" => i += 2,
-                _ => break,
-            }
-        } else {
-            break;
-        }
-    }
-    last
 }
 
 #[cfg(test)]
 mod test {
     use super::*;
 
+    fn rng_findings(src: &str) -> Vec<usize> {
+        let e = FileEntry::new("crates/mesh-sim/src/x.rs".into(), src);
+        let mut findings = Vec::new();
+        run_token_lints(&e, &Registry::default(), &mut findings);
+        let rng = findings.iter().filter(|f| f.lint == Lint::RngStream);
+        rng.map(|f| f.line).collect()
+    }
+
     #[test]
     fn seed_args_classified() {
-        assert!(seed_arg_ok("seed"));
-        assert!(seed_arg_ok("run_seed"));
-        assert!(seed_arg_ok("self.seed"));
-        assert!(seed_arg_ok("seed ^ CHANNEL_STREAM"));
-        assert!(seed_arg_ok("seed ^ attempt.wrapping_mul(GEO_STREAM)"));
-        assert!(!seed_arg_ok("12345"));
-        assert!(!seed_arg_ok("seed * 31 + k"));
-        assert!(!seed_arg_ok("k as u64"));
+        let ok = "seed\nrun_seed\nself.seed\nseed ^ attempt.wrapping_mul(GEO_STREAM)";
+        let bad = "12345\nseed * 31 + k\nk as u64\nmix(seed, 3)";
+        let calls = |args: &str| {
+            let lines = args.lines().map(|a| format!("f(R::seed_from_u64({a}));\n"));
+            rng_findings(&lines.collect::<String>())
+        };
+        assert_eq!(calls(ok), Vec::<usize>::new());
+        assert_eq!(calls(bad), [1, 2, 3, 4]);
     }
 
     #[test]
-    fn engine_crate_classification() {
-        assert!(is_engine_crate("crates/mesh-sim/src/simulator.rs"));
-        assert!(is_engine_crate("crates/scenario/src/sink.rs"));
-        assert!(!is_engine_crate("crates/bench/src/stats.rs"));
-        assert!(!is_engine_crate("crates/gf256/src/wide.rs"));
-        assert!(!is_engine_crate("src/lib.rs"));
-        assert!(!is_engine_crate("examples/quickstart.rs"));
-    }
-
-    #[test]
-    fn library_crate_classification() {
+    fn path_classification() {
         assert!(is_library_crate("crates/rlnc/src/decoder.rs"));
-        assert!(is_library_crate("crates/gf256/src/wide.rs"));
-        assert!(is_library_crate("crates/mesh-topology/src/json.rs"));
         assert!(is_library_crate("src/lib.rs"));
         assert!(!is_library_crate("crates/bench/src/stats.rs"));
         assert!(!is_library_crate("crates/xtask/src/lints.rs"));
         assert!(!is_library_crate("examples/quickstart.rs"));
-    }
-
-    #[test]
-    fn forbid_required_everywhere_but_gf256() {
-        assert!(requires_forbid("src/lib.rs"));
-        assert!(requires_forbid("crates/mesh-sim/src/lib.rs"));
-        assert!(requires_forbid("crates/xtask/src/lib.rs"));
-        assert!(!requires_forbid("crates/gf256/src/lib.rs"));
-        assert!(!requires_forbid("crates/mesh-sim/src/simulator.rs"));
-    }
-
-    #[test]
-    fn leading_path_segment_resolves() {
-        let toks = |s: &str| s.split(' ').map(str::to_string).collect::<Vec<_>>();
-        assert_eq!(leading_path_segment(&toks("Self")), "Self");
-        assert_eq!(
-            leading_path_segment(&toks("io :: Result < ( ) >")),
-            "Result"
-        );
-        assert_eq!(
-            leading_path_segment(&toks("ScenarioBuilder")),
-            "ScenarioBuilder"
-        );
-        assert_eq!(leading_path_segment(&toks("Vec < u8 >")), "Vec");
+        assert!(is_test_path("crates/rlnc/tests/it.rs"));
+        assert!(is_test_path("examples/quickstart.rs"));
+        assert!(!is_test_path("crates/rlnc/src/tests_helper.rs"));
     }
 }

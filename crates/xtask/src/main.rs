@@ -1,190 +1,98 @@
-//! `cargo run -p xtask -- <analyze|ratchet> [..]`
-//!
-//! `analyze` runs the determinism, panic-freedom, and unsafe-audit lints
-//! over the workspace and prints the report (text, JSON, or GitHub
-//! annotations). Exits non-zero when any finding survives the allowlist.
-//!
-//! `ratchet` compares the run's per-lint counts (suppressed findings
-//! included) against the committed `xtask-baseline.json`: any rise fails,
-//! any fall rewrites the baseline so the improvement locks in.
+//! `cargo run -p xtask -- <analyze|ratchet> [..]`: see [`USAGE`].
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::baseline::{Baseline, BASELINE_FILE};
+use xtask::baseline::{self, BASELINE_FILE};
 
+/// The command-line help.
 const USAGE: &str = "\
-usage: cargo run -p xtask -- analyze [--root DIR] [--format text|json|github]
+usage: cargo run -p xtask -- analyze [--root DIR]
        cargo run -p xtask -- ratchet [--root DIR] [--baseline FILE] [--check]
 
-analyze runs the workspace static-analysis suite:
-  determinism lints   hash_iteration, wall_clock, rng_stream, float_ord
-  panic freedom       panic_path, stream_registry, pool_pairing, must_use_api
-  unsafe audit        undocumented_unsafe, missing_forbid
-  escape hatch        // xtask: allow(<lint>[, file]) -- <justification>
+analyze runs the checks no toolchain lint can express and exits non-zero
+on any finding not suppressed by `// xtask: allow(<lint>) -- <why>`. The
+other rules are rustc/clippy lints set in [workspace.lints] and
+clippy.toml: cargo clippy --workspace --all-targets -- -D warnings
 
-ratchet compares per-lint counts (allow-suppressed findings included)
-against the committed baseline: a rise fails, a fall tightens the file.
-
---root DIR       analyze DIR instead of the enclosing workspace root
---format FMT     analyze output: text (default), json, github annotations
---baseline FILE  ratchet against FILE instead of <root>/xtask-baseline.json
---check          read-only ratchet: fail on rises, never rewrite the file
+ratchet compares per-lint counts (suppressed findings included; clippy
+lints force-warned over library crates) against the committed baseline:
+a rise fails, a fall tightens the file (never under --check).
 ";
 
-fn fail_usage(message: &str) -> ExitCode {
-    eprintln!("{message}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut cmd: Option<&str> = None;
-    let mut format = "text".to_string();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut check = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "analyze" | "ratchet" if cmd.is_none() => {
-                cmd = Some(if a == "analyze" { "analyze" } else { "ratchet" })
-            }
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return fail_usage("--root needs a directory"),
-            },
-            "--format" => match it.next() {
-                Some(f) if matches!(f.as_str(), "text" | "json" | "github") => {
-                    format = f.clone();
-                }
-                Some(f) => return fail_usage(&format!("unknown format `{f}`")),
-                None => return fail_usage("--format needs text|json|github"),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return fail_usage("--baseline needs a file"),
-            },
-            "--check" => check = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return fail_usage(&format!("unknown argument `{other}`")),
+    match run(std::env::args().skip(1).collect()) {
+        Ok(code) => code,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::from(2)
         }
     }
-    let Some(cmd) = cmd else {
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    };
+}
 
+fn run(args: Vec<String>) -> Result<ExitCode, String> {
+    let (mut cmd, mut root, mut path, mut check) = (None, None, None, false);
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match (arg, cmd) {
+            ("analyze" | "ratchet", None) => cmd = Some(arg),
+            ("--root", _) => root = it.next().map(PathBuf::from),
+            ("--baseline", _) => path = it.next().map(PathBuf::from),
+            ("--check", _) => check = true,
+            _ => return Err(format!("unknown argument `{arg}`\n\n{USAGE}")),
+        }
+    }
+    let cmd = cmd.ok_or(USAGE)?;
     // Default root: the workspace that contains this crate.
-    let root = root.unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(|p| p.parent())
-            .expect("crates/xtask sits two levels below the workspace root")
-            .to_path_buf()
-    });
+    let root = root.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    let report = xtask::analyze_root(&root)
+        .map_err(|e| format!("xtask {cmd}: failed to read {}: {e}", root.display()))?;
+    if cmd == "analyze" {
+        print!("{}", report.render());
+        return Ok(ExitCode::from(u8::from(!report.is_clean())));
+    }
+    let mut counts = report.counts();
+    counts.extend(baseline::clippy_counts(&root).map_err(|e| format!("xtask ratchet: {e}"))?);
+    let path = path.unwrap_or_else(|| root.join(BASELINE_FILE));
+    ratchet(&counts, &path, check)
+}
 
-    let report = match xtask::analyze_root(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask {cmd}: failed to read {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
+/// Compares `current` against the baseline at `path`: rises fail, falls
+/// rewrite the file unless `check`. A missing file is bootstrapped from
+/// `current` (but fails under `check`).
+fn ratchet(current: &baseline::Counts, path: &Path, check: bool) -> Result<ExitCode, String> {
+    let shown = path.display();
+    let write = |what: &str| -> Result<ExitCode, String> {
+        let text = baseline::render(current);
+        fs::write(path, text).map_err(|e| format!("cannot write {shown}: {e}"))?;
+        println!("xtask ratchet: baseline {what} at {shown}");
+        Ok(ExitCode::SUCCESS)
     };
-
-    match cmd {
-        "analyze" => {
-            match format.as_str() {
-                "json" => print!("{}", report.to_json()),
-                "github" => {
-                    print!("{}", report.render_github());
-                    // Annotations alone hide the summary; keep it on the
-                    // job log too.
-                    eprint!("{}", report.render());
-                }
-                _ => print!("{}", report.render()),
-            }
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    let text = match fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && !check => {
+            return write("initialized")
         }
-        _ => {
-            let path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-            let counts = report.counts();
-            let current = Baseline::new(counts);
-            let text = match fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Bootstrap: no baseline yet — write today's counts.
-                    if check {
-                        eprintln!(
-                            "xtask ratchet: no baseline at {} (run without --check to create it)",
-                            path.display()
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    if let Err(e) = fs::write(&path, current.render()) {
-                        eprintln!("xtask ratchet: cannot write {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                    println!("xtask ratchet: initialized baseline at {}", path.display());
-                    return ExitCode::SUCCESS;
-                }
-                Err(e) => {
-                    eprintln!("xtask ratchet: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let baseline = match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("xtask ratchet: malformed {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let result = baseline.compare(&current.counts);
-            for d in &result.rises {
-                println!(
-                    "xtask ratchet: `{}` rose {} -> {} (fix the regression or re-justify \
-                     the baseline in review)",
-                    d.key, d.baseline, d.current
-                );
-            }
-            for d in &result.falls {
-                println!(
-                    "xtask ratchet: `{}` fell {} -> {}{}",
-                    d.key,
-                    d.baseline,
-                    d.current,
-                    if check { " (would tighten)" } else { "" }
-                );
-            }
-            if !result.passed() {
-                return ExitCode::FAILURE;
-            }
-            if !result.falls.is_empty() && !check {
-                if let Err(e) = fs::write(&path, current.render()) {
-                    eprintln!("xtask ratchet: cannot tighten {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!("xtask ratchet: baseline tightened at {}", path.display());
-            } else {
-                println!(
-                    "xtask ratchet: ok ({} counts at baseline)",
-                    baseline.counts.len()
-                );
-            }
-            ExitCode::SUCCESS
-        }
+        Err(e) => return Err(format!("xtask ratchet: cannot read {shown}: {e}")),
+        Ok(text) => text,
+    };
+    let committed = baseline::parse(&text).map_err(|e| format!("malformed {shown}: {e}"))?;
+    let (rises, falls) = baseline::compare(&committed, current);
+    for (key, was, now) in &rises {
+        println!("xtask ratchet: `{key}` rose {was} -> {now} (fix it, or re-justify the baseline in review)");
+    }
+    for (key, was, now) in &falls {
+        let note = if check { " (would tighten)" } else { "" };
+        println!("xtask ratchet: `{key}` fell {was} -> {now}{note}");
+    }
+    if !rises.is_empty() {
+        Ok(ExitCode::FAILURE)
+    } else if !falls.is_empty() && !check {
+        write("tightened")
+    } else {
+        println!("xtask ratchet: ok ({} counts at baseline)", committed.len());
+        Ok(ExitCode::SUCCESS)
     }
 }

@@ -1,416 +1,211 @@
-//! Lightweight item/expression model over the token stream.
-//!
-//! One pass over a file's tokens recovers the structure the
-//! expression-aware lints need: function signatures (visibility,
-//! `#[must_use]`, return-type tokens, body spans), `impl` blocks (type
-//! name, optional trait, span), `const` items, `#[must_use]`-annotated
-//! type declarations, and attribute spans (so expression scans never
-//! mistake `#[derive(..)]` brackets for indexing).
-//!
-//! This is deliberately not a full Rust parser: it tracks brace/angle
-//! nesting and item-introducer keywords, which is exactly enough to
-//! answer "which impl/fn contains token *i*" and "what does this pub fn
-//! return" on the subset of Rust this workspace writes (no macro_rules
-//! definitions, no exotic item positions).
+//! Tokens and the item model over them: fn body spans, `impl` blocks,
+//! and `const` items. The tokenizer reads the lexer's blanked code, so
+//! every bracket and word it sees is real code. The parser is not a full
+//! Rust parser: it tracks bracket nesting and item-introducer keywords,
+//! which is enough to answer "which impl/fn contains token *i*" on the
+//! Rust this workspace writes.
 
-use crate::tokens::{TokKind, Token};
+use crate::lexer::FileView;
 
-/// One `fn` item (free, inherent, trait-required, or nested).
-pub(crate) struct FnSig {
-    pub name: String,
+/// One token with its 1-based source line: a *word* (identifier, keyword,
+/// or number such as `0xC4A2_2E1C`) or one punctuation mark, with `::`,
+/// `->`, `=>`, `..` and `..=` joined.
+pub(crate) struct Token {
+    pub text: String,
     pub line: usize,
-    /// `pub` without a restriction — `pub(crate)`/`pub(super)` are not
-    /// public API and count as private here.
-    pub is_pub: bool,
-    /// Carried a `#[must_use]` attribute.
-    pub must_use: bool,
-    /// Return-type token texts (empty when the fn returns `()`).
-    pub ret: Vec<String>,
-    /// Token-index span of the body `{ .. }`, inclusive; `None` for
-    /// trait-required signatures ending in `;`.
-    pub body: Option<(usize, usize)>,
-    /// Self type of the enclosing `impl` block, when inside one.
-    pub impl_type: Option<String>,
+}
+
+impl Token {
+    pub fn is(&self, text: &str) -> bool {
+        self.text == text
+    }
+
+    pub fn is_word(&self) -> bool {
+        self.text
+            .starts_with(|c: char| c.is_alphanumeric() || c == '_')
+    }
+}
+
+/// Multi-char punctuation joined into one token, longest first.
+const JOINED: [&str; 5] = ["..=", "::", "->", "=>", ".."];
+
+pub(crate) fn tokenize(view: &FileView) -> Vec<Token> {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for (i, line) in view.code.iter().enumerate() {
+        let mut rest = line.trim_start();
+        while let Some(c) = rest.chars().next() {
+            let len = match JOINED.iter().find(|op| rest.starts_with(**op)) {
+                _ if is_word(c) => rest.find(|c| !is_word(c)).unwrap_or(rest.len()),
+                Some(op) => op.len(),
+                None => c.len_utf8(),
+            };
+            let (text, line) = (rest[..len].to_string(), i + 1);
+            out.push(Token { text, line });
+            rest = rest[len..].trim_start();
+        }
+    }
+    out
 }
 
 /// One `impl` block.
 pub(crate) struct ImplBlock {
-    /// Last path segment of the self type (`Decoder`, `ScenarioBuilder`).
+    /// Last path segment of the self type (`Decoder`).
     pub type_name: String,
-    /// Last path segment of the trait, for trait impls (`Drop`, `Clone`).
+    /// Last path segment of the trait, for trait impls (`Drop`).
     pub trait_name: Option<String>,
     /// Token-index span of the `{ .. }`, inclusive.
     pub span: (usize, usize),
 }
 
-/// One `const NAME: ty = value;` item.
+/// One `const NAME: ty = value;` item; `value` joins the initializer's
+/// tokens with spaces.
 pub(crate) struct ConstItem {
     pub name: String,
     pub line: usize,
-    /// Joined token texts of the initializer expression.
     pub value: String,
 }
 
 /// Everything the parser recovered from one file.
 pub(crate) struct ParsedFile {
     pub tokens: Vec<Token>,
-    pub fns: Vec<FnSig>,
+    /// Token-index spans (inclusive) of every fn body `{ .. }`.
+    pub fn_bodies: Vec<(usize, usize)>,
     pub impls: Vec<ImplBlock>,
     pub consts: Vec<ConstItem>,
-    /// Names of `struct`/`enum` declarations carrying `#[must_use]`.
-    pub must_use_types: Vec<String>,
-    /// Token-index spans (inclusive) of `#[..]` / `#![..]` attributes.
-    attr_spans: Vec<(usize, usize)>,
 }
 
 impl ParsedFile {
-    /// Whether token `i` sits inside an attribute.
-    pub fn in_attr(&self, i: usize) -> bool {
-        // Spans are few and sorted; a linear probe keeps this simple.
-        self.attr_spans.iter().any(|&(a, b)| a <= i && i <= b)
-    }
-
-    /// The innermost impl block whose span contains token `i`.
+    /// The innermost impl block containing token `i`.
     pub fn enclosing_impl(&self, i: usize) -> Option<&ImplBlock> {
+        let inside = |im: &&ImplBlock| im.span.0 <= i && i <= im.span.1;
         self.impls
             .iter()
-            .filter(|im| im.span.0 <= i && i <= im.span.1)
+            .filter(inside)
             .min_by_key(|im| im.span.1 - im.span.0)
     }
 
-    /// The innermost fn whose body contains token `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnSig> {
-        self.fns
+    /// The innermost fn body containing token `i`.
+    pub fn enclosing_fn(&self, i: usize) -> Option<(usize, usize)> {
+        let inside = |&(a, b): &(usize, usize)| a <= i && i <= b;
+        self.fn_bodies
             .iter()
-            .filter(|f| f.body.is_some_and(|(a, b)| a <= i && i <= b))
-            .min_by_key(|f| {
-                let (a, b) = f.body.unwrap_or((0, usize::MAX));
-                b - a
-            })
+            .copied()
+            .filter(inside)
+            .min_by_key(|&(a, b)| b - a)
     }
-}
-
-/// What an open `{` belonged to, so the matching `}` can patch its span.
-enum Open {
-    Fn(usize),
-    Impl(usize),
-    Other,
 }
 
 pub(crate) fn parse(tokens: Vec<Token>) -> ParsedFile {
-    let mut fns: Vec<FnSig> = Vec::new();
-    let mut impls: Vec<ImplBlock> = Vec::new();
-    let mut consts: Vec<ConstItem> = Vec::new();
-    let mut must_use_types: Vec<String> = Vec::new();
-    let mut attr_spans: Vec<(usize, usize)> = Vec::new();
-
-    // Pending state between an attribute/visibility run and its item.
-    let mut pending_must_use = false;
-    let mut pending_pub = false;
-
-    let mut stack: Vec<Open> = Vec::new();
-
+    let (mut fn_bodies, mut impls, mut consts) = (Vec::new(), Vec::<ImplBlock>::new(), Vec::new());
+    // Per open `{`: the fn body or impl block it starts, if any.
+    let mut stack: Vec<Option<(bool, usize)>> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let t = &tokens[i];
-        match (t.kind, t.text.as_str()) {
-            (TokKind::Punct, "#") => {
-                // `#[..]` or `#![..]`: record the span, harvest idents.
-                let start = i;
-                let mut j = i + 1;
-                if tokens.get(j).is_some_and(|t| t.is("!")) {
-                    j += 1;
-                }
-                if tokens.get(j).is_some_and(|t| t.is("[")) {
-                    let mut bd = 0usize;
-                    while j < tokens.len() {
-                        match tokens[j].text.as_str() {
-                            "[" => bd += 1,
-                            "]" => {
-                                bd -= 1;
-                                if bd == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    if tokens[start + 1..j.min(tokens.len())]
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && t.is("must_use"))
-                    {
-                        pending_must_use = true;
-                    }
-                    attr_spans.push((start, j.min(tokens.len().saturating_sub(1))));
-                    i = j + 1;
+        let word_next = tokens.get(i + 1).is_some_and(Token::is_word);
+        let text = tokens[i].text.as_str();
+        if (text == "fn" && word_next) || text == "impl" {
+            let open = scan_to(&tokens, i + 1, &["{", ";"]);
+            if tokens.get(open).is_some_and(|t| t.is("{")) {
+                if text == "fn" {
+                    fn_bodies.push((open, open)); // end patched on close
+                    stack.push(Some((true, fn_bodies.len() - 1)));
                 } else {
-                    i += 1;
-                }
-            }
-            (TokKind::Ident, "pub") => {
-                // `pub(crate)`/`pub(super)`/`pub(in ..)` are not public.
-                if tokens.get(i + 1).is_some_and(|t| t.is("(")) {
-                    i = skip_group(&tokens, i + 1, "(", ")");
-                } else {
-                    pending_pub = true;
-                    i += 1;
-                }
-            }
-            (TokKind::Ident, "fn") => {
-                let Some(name_tok) = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
-                    i += 1;
-                    continue;
-                };
-                let mut sig = FnSig {
-                    name: name_tok.text.clone(),
-                    line: name_tok.line,
-                    is_pub: pending_pub,
-                    must_use: pending_must_use,
-                    ret: Vec::new(),
-                    body: None,
-                    impl_type: stack.iter().rev().find_map(|o| match o {
-                        Open::Impl(k) => Some(impls[*k].type_name.clone()),
-                        _ => None,
-                    }),
-                };
-                pending_pub = false;
-                pending_must_use = false;
-                let mut j = i + 2;
-                j = skip_generics(&tokens, j);
-                j = skip_group(&tokens, j, "(", ")");
-                if tokens.get(j).is_some_and(|t| t.is("->")) {
-                    j += 1;
-                    while j < tokens.len() {
-                        let tt = &tokens[j];
-                        if tt.is("{") || tt.is(";") || tt.is("where") {
-                            break;
-                        }
-                        sig.ret.push(tt.text.clone());
-                        j += 1;
-                    }
-                }
-                // Scan to the body `{` (skipping a where clause) or `;`.
-                while j < tokens.len() && !tokens[j].is("{") && !tokens[j].is(";") {
-                    j += 1;
-                }
-                if tokens.get(j).is_some_and(|t| t.is("{")) {
-                    sig.body = Some((j, j)); // end patched on close
-                    fns.push(sig);
-                    stack.push(Open::Fn(fns.len() - 1));
-                } else {
-                    fns.push(sig);
-                }
-                i = j + 1;
-            }
-            (TokKind::Ident, "impl") => {
-                let mut j = skip_generics(&tokens, i + 1);
-                // Path(s) up to `{`: the self type is the segment after
-                // `for` when present, otherwise the first path.
-                let mut ty: Vec<&Token> = Vec::new();
-                while j < tokens.len() {
-                    let tt = &tokens[j];
-                    if tt.is("{") || tt.is("where") {
-                        break;
-                    }
-                    if tt.is("for") {
-                        ty.clear(); // what came before was the trait
-                        j += 1;
-                        continue;
-                    }
-                    if tt.is("<") {
-                        j = skip_generics(&tokens, j);
-                        continue;
-                    }
-                    ty.push(tt);
-                    j += 1;
-                }
-                let trait_name = trait_of(&tokens, i + 1, j);
-                while j < tokens.len() && !tokens[j].is("{") {
-                    j += 1;
-                }
-                if tokens.get(j).is_some_and(|t| t.is("{")) {
+                    let (trait_name, type_name) = impl_header(&tokens[i + 1..open]);
                     impls.push(ImplBlock {
-                        type_name: last_path_segment(&ty),
+                        type_name,
                         trait_name,
-                        span: (j, j), // end patched on close
+                        span: (open, open),
                     });
-                    stack.push(Open::Impl(impls.len() - 1));
-                    i = j + 1;
-                } else {
-                    i = j;
-                }
-                pending_pub = false;
-                pending_must_use = false;
-            }
-            (TokKind::Ident, "struct" | "enum" | "union" | "trait") => {
-                if pending_must_use && !t.is("trait") {
-                    if let Some(name) = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                        must_use_types.push(name.text.clone());
-                    }
-                }
-                pending_pub = false;
-                pending_must_use = false;
-                i += 1;
-            }
-            (TokKind::Ident, "const") => {
-                // `const NAME: ty = value;` — but not `const fn`, not the
-                // anonymous `const { .. }` block.
-                let is_item = tokens
-                    .get(i + 1)
-                    .is_some_and(|n| n.kind == TokKind::Ident && !n.is("fn"))
-                    && tokens.get(i + 2).is_some_and(|t| t.is(":"));
-                if is_item {
-                    let name = &tokens[i + 1];
-                    let mut j = i + 3;
-                    while j < tokens.len() && !tokens[j].is("=") && !tokens[j].is(";") {
-                        j += 1;
-                    }
-                    let mut value = Vec::new();
-                    if tokens.get(j).is_some_and(|t| t.is("=")) {
-                        j += 1;
-                        while j < tokens.len() && !tokens[j].is(";") {
-                            value.push(tokens[j].text.clone());
-                            j += 1;
-                        }
-                    }
-                    consts.push(ConstItem {
-                        name: name.text.clone(),
-                        line: name.line,
-                        value: value.join(" "),
-                    });
-                    pending_pub = false;
-                    pending_must_use = false;
-                    i = j;
-                } else {
-                    // `const fn` keeps pending attrs for the fn; `const {`
-                    // is an expression block.
-                    i += 1;
+                    stack.push(Some((false, impls.len() - 1)));
                 }
             }
-            (TokKind::Punct, "{") => {
-                stack.push(Open::Other);
-                i += 1;
+            i = open + 1;
+        } else if text == "const" && word_next && tokens.get(i + 2).is_some_and(|t| t.is(":")) {
+            // Not `const fn`, not a `const { .. }` block.
+            let eq = scan_to(&tokens, i + 3, &["=", ";"]);
+            let end = scan_to(&tokens, eq, &[";"]);
+            let value = tokens.get(eq + 1..end).unwrap_or_default().iter();
+            let value: Vec<&str> = value.map(|t| t.text.as_str()).collect();
+            let (name, line) = (tokens[i + 1].text.clone(), tokens[i + 1].line);
+            consts.push(ConstItem {
+                name,
+                line,
+                value: value.join(" "),
+            });
+            i = end + 1;
+        } else {
+            match text {
+                "{" => stack.push(None),
+                "}" => match stack.pop().flatten() {
+                    Some((true, k)) => fn_bodies[k].1 = i,
+                    Some((false, k)) => impls[k].span.1 = i,
+                    None => {}
+                },
+                _ => {}
             }
-            (TokKind::Punct, "}") => {
-                match stack.pop() {
-                    Some(Open::Fn(k)) => {
-                        if let Some(body) = &mut fns[k].body {
-                            body.1 = i;
-                        }
-                    }
-                    Some(Open::Impl(k)) => impls[k].span.1 = i,
-                    _ => {}
-                }
-                i += 1;
-            }
-            (TokKind::Ident, other) if !is_item_modifier(other) => {
-                pending_pub = false;
-                pending_must_use = false;
-                i += 1;
-            }
-            (TokKind::Punct, _) => {
-                pending_pub = false;
-                pending_must_use = false;
-                i += 1;
-            }
-            _ => {
-                i += 1;
-            }
+            i += 1;
         }
     }
-
     ParsedFile {
         tokens,
-        fns,
+        fn_bodies,
         impls,
         consts,
-        must_use_types,
-        attr_spans,
     }
 }
 
-/// Keywords that may sit between an attribute and the item it gates
-/// without dropping the pending attribute set.
-fn is_item_modifier(text: &str) -> bool {
-    matches!(text, "unsafe" | "async" | "extern" | "default")
-}
-
-/// The trait name of `impl .. for ..`, if a `for` appears before `end`.
-fn trait_of(tokens: &[Token], from: usize, end: usize) -> Option<String> {
-    let mut path: Vec<&Token> = Vec::new();
-    let mut j = from;
-    while j < end.min(tokens.len()) {
-        let tt = &tokens[j];
-        if tt.is("for") {
-            return Some(last_path_segment(&path));
+/// Index of the first token in `stops` at bracket depth 0 from `from`
+/// (`tokens.len()` if none): `(..)`, `[..]` and `{..}` nest, so the `;`
+/// of `-> [u8; 512]` does not end a signature.
+pub(crate) fn scan_to(tokens: &[Token], from: usize, stops: &[&str]) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        if depth == 0 && stops.contains(&t.text.as_str()) {
+            return j;
         }
-        if tt.is("<") {
-            j = skip_generics(tokens, j);
-            continue;
-        }
-        path.push(tt);
-        j += 1;
-    }
-    None
-}
-
-/// Skips a balanced `<..>` generics group starting at `i` (no-op when the
-/// token there is not `<`). `->` is a single token, so it never unbalances
-/// the angle count.
-fn skip_generics(tokens: &[Token], mut i: usize) -> usize {
-    if !tokens.get(i).is_some_and(|t| t.is("<")) {
-        return i;
-    }
-    let mut d = 0usize;
-    while i < tokens.len() {
-        match tokens[i].text.as_str() {
-            "<" => d += 1,
-            ">" => {
-                d -= 1;
-                if d == 0 {
-                    return i + 1;
-                }
-            }
+        match t.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
             _ => {}
         }
-        i += 1;
     }
-    i
+    tokens.len()
 }
 
-/// Skips a balanced group opened by `open` at `i` (no-op otherwise).
-fn skip_group(tokens: &[Token], mut i: usize, open: &str, close: &str) -> usize {
-    if !tokens.get(i).is_some_and(|t| t.is(open)) {
-        return i;
+/// `(trait, self type)` of the tokens between `impl` and its `{`:
+/// `<'a> fmt::Display for Foo<'a> where ..` → `(Display, Foo)`.
+fn impl_header(header: &[Token]) -> (Option<String>, String) {
+    // Drop every generic argument list, then cut at `where`.
+    let mut depth = 0usize;
+    let outside_generics = |t: &&Token| {
+        let was = depth;
+        depth = match t.text.as_str() {
+            "<" => depth + 1,
+            ">" => depth.saturating_sub(1),
+            _ => depth,
+        };
+        was == 0 && depth == 0
+    };
+    let header = header.iter().filter(outside_generics);
+    let header: Vec<&Token> = header.take_while(|t| !t.is("where")).collect();
+    let name = |ts: &[&Token]| last_path_segment(ts.iter().copied());
+    match header.iter().position(|t| t.is("for")) {
+        Some(f) => (Some(name(&header[..f])), name(&header[f + 1..])),
+        None => (None, name(&header)),
     }
-    let mut d = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is(open) {
-            d += 1;
-        } else if tokens[i].is(close) {
-            d -= 1;
-            if d == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
 }
 
-/// Last identifier of the leading path in a type token list, skipping
-/// references, lifetimes, and `dyn`/`mut`: `&mut fmt::Display` →
-/// `Display`, `ScenarioBuilder` → `ScenarioBuilder`.
-fn last_path_segment(ty: &[&Token]) -> String {
+/// Last identifier of the leading path in a type, skipping references,
+/// lifetimes, and `dyn`/`mut`: `&'a mut fmt::Display` → `Display`.
+pub(crate) fn last_path_segment<'a>(ty: impl IntoIterator<Item = &'a Token>) -> String {
     let mut last = String::new();
-    for t in ty {
-        match t.kind {
-            TokKind::Ident if !matches!(t.text.as_str(), "dyn" | "mut") => {
-                last = t.text.clone();
-            }
-            TokKind::Punct if t.is("&") || t.is("::") => continue,
-            TokKind::Lifetime => continue,
+    let mut it = ty.into_iter();
+    while let Some(t) = it.next() {
+        match t.text.as_str() {
+            "'" => _ = it.next(), // the lifetime's name
+            "&" | "::" | "dyn" | "mut" => {}
+            _ if t.is_word() => last = t.text.clone(),
             _ => break,
         }
     }
@@ -421,101 +216,87 @@ fn last_path_segment(ty: &[&Token]) -> String {
 mod test {
     use super::*;
     use crate::lexer::lex;
-    use crate::tokens::tokenize;
+
+    fn toks(src: &str) -> Vec<String> {
+        tokenize(&lex(src)).iter().map(|t| t.text.clone()).collect()
+    }
+
+    #[test]
+    fn words_numbers_and_paths() {
+        assert_eq!(
+            toks("let x = pool::acquire(0xC4A2_2E1C);"),
+            [
+                "let",
+                "x",
+                "=",
+                "pool",
+                "::",
+                "acquire",
+                "(",
+                "0xC4A2_2E1C",
+                ")",
+                ";"
+            ]
+        );
+    }
+
+    #[test]
+    fn ranges_and_arrows() {
+        assert_eq!(
+            toks("fn f() -> u8 { w[1..=2]; }"),
+            ["fn", "f", "(", ")", "->", "u8", "{", "w", "[", "1", "..=", "2", "]", ";", "}"]
+        );
+    }
+
+    #[test]
+    fn strings_leave_no_tokens() {
+        assert_eq!(toks("f(\"x.unwrap()\")"), ["f", "(", ")"]);
+    }
 
     fn parsed(src: &str) -> ParsedFile {
         parse(tokenize(&lex(src)))
     }
 
     #[test]
-    fn fn_signature_with_return_type() {
-        let p = parsed("pub fn topology(mut self, spec: TopologySpec) -> Self {\n    self\n}\n");
-        assert_eq!(p.fns.len(), 1);
-        let f = &p.fns[0];
-        assert_eq!(f.name, "topology");
-        assert!(f.is_pub);
-        assert!(!f.must_use);
-        assert_eq!(f.ret, ["Self"]);
-        assert!(f.body.is_some());
-    }
-
-    #[test]
-    fn must_use_attr_and_type_registry() {
-        let p = parsed("#[must_use]\npub fn f() -> Self { self }\n#[must_use = \"reason\"]\npub struct ScenarioBuilder {\n    x: u8,\n}\n");
-        assert!(p.fns[0].must_use);
-        assert_eq!(p.must_use_types, ["ScenarioBuilder"]);
-    }
-
-    #[test]
-    fn pub_crate_is_not_public() {
-        let p = parsed("pub(crate) fn f() -> Self {}\npub fn g() {}\n");
-        assert!(!p.fns[0].is_pub);
-        assert!(p.fns[1].is_pub);
-    }
-
-    #[test]
     fn impl_blocks_carry_type_and_trait() {
         let p = parsed(
-            "impl<'a> Decoder<'a> {\n    fn a(&self) {}\n}\nimpl Drop for Decoder<'_> {\n    fn drop(&mut self) {}\n}\n",
+            "impl<'a> Decoder<'a> {\n    fn a(&self) {}\n}\nimpl Drop for Decoder<'_> {\n    fn drop(&mut self) {}\n}\nimpl<'a> fmt::Display for &'a mut Foo where Foo: Clone {}\n",
         );
-        assert_eq!(p.impls.len(), 2);
+        assert_eq!(p.impls.len(), 3);
         assert_eq!(p.impls[0].type_name, "Decoder");
         assert_eq!(p.impls[0].trait_name, None);
         assert_eq!(p.impls[1].type_name, "Decoder");
         assert_eq!(p.impls[1].trait_name.as_deref(), Some("Drop"));
-        assert_eq!(p.fns[0].impl_type.as_deref(), Some("Decoder"));
-        assert_eq!(p.fns[1].impl_type.as_deref(), Some("Decoder"));
+        assert_eq!(p.impls[2].type_name, "Foo");
+        assert_eq!(p.impls[2].trait_name.as_deref(), Some("Display"));
+        assert_eq!(p.fn_bodies.len(), 2);
     }
 
     #[test]
     fn const_items_capture_value_tokens() {
-        let p = parsed("pub const CHANNEL_STREAM: u64 = 0xC4A2_2E1C_51A7_0DE1;\n");
+        let p = parsed(
+            "pub const CHANNEL_STREAM: u64 = 0xC4A2_2E1C_51A7_0DE1;\npub const fn k(&self) -> usize { self.k }\n",
+        );
         assert_eq!(p.consts.len(), 1);
         assert_eq!(p.consts[0].name, "CHANNEL_STREAM");
         assert_eq!(p.consts[0].value, "0xC4A2_2E1C_51A7_0DE1");
+        assert_eq!(p.fn_bodies.len(), 1);
     }
 
     #[test]
-    fn const_fn_is_a_fn_not_a_const() {
-        let p = parsed("pub const fn k(&self) -> usize { self.k }\n");
-        assert!(p.consts.is_empty());
-        assert_eq!(p.fns.len(), 1);
-        assert_eq!(p.fns[0].name, "k");
-        assert!(p.fns[0].is_pub);
-    }
-
-    #[test]
-    fn attr_spans_cover_brackets() {
-        let p = parsed("#[derive(Clone, Debug)]\nstruct X {\n    v: Vec<u8>,\n}\n");
-        // The `[` of the derive attribute is inside an attr span.
-        let bracket = p
-            .tokens
-            .iter()
-            .position(|t| t.is("["))
-            .expect("derive bracket");
-        assert!(p.in_attr(bracket));
-    }
-
-    #[test]
-    fn enclosing_fn_and_impl_resolve() {
+    fn array_return_types_and_block_consts_keep_spans_balanced() {
         let p = parsed(
-            "impl Foo {\n    fn a(&self) {\n        let x = 1;\n    }\n}\nfn free() {\n    let y = 2;\n}\n",
+            "const fn build() -> [u8; 4] {\n    [0; 4]\n}\nconst T: [u8; 4] = { let t = build(); t };\nimpl Foo {\n    fn a(&self) {\n        let x = 1;\n    }\n}\n",
         );
+        assert_eq!(p.fn_bodies.len(), 2);
         let x = p.tokens.iter().position(|t| t.is("x")).expect("x token");
-        assert_eq!(p.enclosing_fn(x).map(|f| f.name.as_str()), Some("a"));
+        assert_eq!(p.enclosing_fn(x), p.fn_bodies.get(1).copied());
         assert_eq!(
             p.enclosing_impl(x).map(|im| im.type_name.as_str()),
             Some("Foo")
         );
-        let y = p.tokens.iter().position(|t| t.is("y")).expect("y token");
-        assert_eq!(p.enclosing_fn(y).map(|f| f.name.as_str()), Some("free"));
-        assert!(p.enclosing_impl(y).is_none());
-    }
-
-    #[test]
-    fn where_clause_does_not_pollute_return_type() {
-        let p = parsed("pub fn protocols<I, S>(mut self, names: I) -> Self\nwhere\n    I: IntoIterator<Item = S>,\n{\n    self\n}\n");
-        assert_eq!(p.fns[0].ret, ["Self"]);
-        assert!(p.fns[0].body.is_some());
+        let build = p.tokens.iter().position(|t| t.is("0")).expect("0 token");
+        assert_eq!(p.enclosing_fn(build), p.fn_bodies.first().copied());
+        assert!(p.enclosing_impl(build).is_none());
     }
 }

@@ -1,25 +1,19 @@
-//! Allowlist fixture: the same violations as the bad tree, each
-//! suppressed by a justified `// xtask: allow` comment — plus one
-//! unused allow that must surface in the report as UNUSED.
+//! Allowlist fixture: violations like the bad tree's, each suppressed by
+//! a justified `// xtask: allow` comment — plus one unused allow that
+//! must surface in the report as UNUSED.
 
-// xtask: allow(missing_forbid) -- fixture exercising root-level allows
-
-use std::collections::HashMap; // xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-
-pub fn wall_clock() -> std::time::Instant {
-    // xtask: allow(wall_clock) -- progress display only, never recorded
-    std::time::Instant::now()
+pub fn per_pair_stream(seed: u64, i: u64) {
+    // xtask: allow(rng_stream) -- per-pair stream mixed from the run seed
+    let _ = ChaCha8Rng::seed_from_u64(mix(seed, i));
 }
 
 pub fn float_sort(v: &mut [f64]) {
-    // xtask: allow(float_ord) -- inputs validated finite by caller
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // xtask: allow(panic_path) -- comparator unwrap on inputs the float_ord allow already validates
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // xtask: allow(float_ord) -- inputs validated finite by caller
 }
 
-// xtask: allow(rng_stream) -- this allow is deliberately unused
+// xtask: allow(pool_pairing) -- this allow is deliberately unused
 
-// xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-pub fn lookup_only() -> HashMap<u64, u64> {
-    // xtask: allow(hash_iteration) -- lookup-only cache, never iterated
-    HashMap::new()
+// xtask: allow(undocumented_unsafe) -- fixture: the contract lives in the caller's docs
+pub unsafe fn read(p: *const u8) -> u8 {
+    *p
 }

@@ -1,20 +1,28 @@
-//! must_use_api fixture: chainable pub fns returning `Self` or a
-//! `*Builder` by value need #[must_use]; references, Results,
-//! annotated types, and allowed sites do not.
-#![forbid(unsafe_code)]
+//! must_use_api fixture: pub fns returning `Self` or a `*Builder` by
+//! value need #[must_use] unless clippy's return_self_not_must_use sees
+//! them (a `self` receiver returning its own type). References, Results,
+//! opaque returns, annotated fns and types, and allowed sites do not.
 
 pub struct RunBuilder {
     k: usize,
 }
 
 impl RunBuilder {
+    pub fn new() -> Self {
+        RunBuilder { k: 0 }
+    }
+
     pub fn k(self, k: usize) -> Self {
         RunBuilder { k }
     }
 
     #[must_use]
-    pub fn packets(self, _n: usize) -> Self {
-        self
+    pub const fn empty() -> Self {
+        RunBuilder { k: 0 }
+    }
+
+    pub fn other(&self) -> OtherBuilder {
+        OtherBuilder
     }
 
     pub fn peek(&self) -> &Self {
@@ -24,26 +32,37 @@ impl RunBuilder {
     pub fn build(self) -> Result<usize, String> {
         Ok(self.k)
     }
+
+    pub fn iter(&self) -> impl Iterator<Item = RunBuilder> {
+        std::iter::empty()
+    }
 }
 
 #[must_use]
 pub struct AnnotatedBuilder;
 
 impl AnnotatedBuilder {
-    pub fn step(self) -> Self {
-        self
+    pub fn new() -> Self {
+        AnnotatedBuilder
     }
 }
 
-pub struct Other;
+pub struct OtherBuilder;
 
-impl Other {
-    // xtask: allow(must_use_api) -- fixture: suppressed chainable method
-    pub fn chain(self) -> Self {
-        self
+impl OtherBuilder {
+    // xtask: allow(must_use_api) -- fixture: suppressed constructor
+    pub fn new() -> Self {
+        OtherBuilder
     }
 }
 
 pub fn make_builder() -> RunBuilder {
     RunBuilder { k: 0 }
+}
+
+#[cfg(test)]
+mod test {
+    pub fn helper() -> super::RunBuilder {
+        super::RunBuilder::new()
+    }
 }

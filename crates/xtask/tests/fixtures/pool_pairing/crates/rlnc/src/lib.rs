@@ -1,7 +1,6 @@
 //! pool_pairing fixture: an acquire with no release path fires; a
 //! paired sibling method, a Drop-based release, a paired free fn, and a
 //! documented ownership transfer do not.
-#![forbid(unsafe_code)]
 
 pub struct Leaky;
 

@@ -1,7 +1,6 @@
-//! Ratchet fixture: exactly one deliberate panic_path finding, so the
+//! Ratchet fixture: exactly one deliberate rng_stream finding, so the
 //! ratchet tests can pin counts against a known-dirty tree.
-#![forbid(unsafe_code)]
 
-pub fn regression(v: Option<u8>) -> u8 {
-    v.unwrap()
+pub fn regression() -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(7)
 }

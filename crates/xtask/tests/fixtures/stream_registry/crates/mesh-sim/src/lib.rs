@@ -1,6 +1,5 @@
 //! stream_registry fixture: stray definitions and unregistered
 //! references fire; registered references and allowed sites do not.
-#![forbid(unsafe_code)]
 
 pub const ROGUE_STREAM: u64 = 0x3;
 

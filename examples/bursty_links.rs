@@ -16,6 +16,12 @@
 //! cargo run --release --example bursty_links
 //! ```
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::scenario::sink::{Collect, CsvAppend, JsonLines, Tee};
 use more_repro::scenario::{ChannelSpec, RunRecord, Scenario, Sweep, TrafficSpec};
 use std::fmt::Write as _;

@@ -11,6 +11,13 @@
 //! cargo run --release --example dead_spot_rescue
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::baselines::{SrcrAgent, SrcrConfig};
 use more_repro::more::{MoreAgent, MoreConfig};
 use more_repro::sim::{Bitrate, SimConfig, Simulator, SEC};

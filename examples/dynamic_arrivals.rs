@@ -18,6 +18,11 @@
 //! cargo run --release --example dynamic_arrivals
 //! ```
 
+#![expect(
+    clippy::panic,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::scenario::sink::{Collect, CsvAppend, JsonLines, Tee};
 use more_repro::scenario::{RunRecord, Scenario, Sweep, TrafficModelSpec};
 use std::fmt::Write as _;

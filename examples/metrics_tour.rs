@@ -8,6 +8,13 @@
 //! cargo run --release --example metrics_tour
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::metrics::etx::LinkCost;
 use more_repro::metrics::flow::FlowSolution;
 use more_repro::metrics::gap::pair_gap;

@@ -9,6 +9,11 @@
 //! cargo run --release --example motivating
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::rlnc::{CodeVector, CodedPacket, Decoder, SourceEncoder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -10,6 +10,11 @@
 //! cargo run --release --example multicast_distribution
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::more::{MoreAgent, MoreConfig, MulticastMoreAgent};
 use more_repro::sim::{SimConfig, Simulator, SEC};
 use more_repro::topology::{generate, NodeId};

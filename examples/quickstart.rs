@@ -5,6 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(
+    clippy::panic,
+    reason = "example binary: a failed run aborts the demo with its message"
+)]
+
 use more_repro::scenario::sink::{Collect, JsonLines, Tee};
 use more_repro::scenario::{Scenario, TrafficSpec};
 use more_repro::topology::generate;

@@ -14,6 +14,8 @@
 //!   protocol registry (declare topology + traffic + protocols + sweeps,
 //!   run the grid in parallel, read structured records).
 
+// The package's lint table only denies unsafe code (its alloc-budget
+// test needs a counting allocator); the library itself forbids it.
 #![forbid(unsafe_code)]
 
 pub use baselines;

@@ -13,6 +13,11 @@
 //! process-global and would add noise (and a tiny cost) to every other
 //! suite. CI runs it as a dedicated job.
 
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator implements GlobalAlloc, an unsafe trait; every site carries a SAFETY comment"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

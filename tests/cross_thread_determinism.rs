@@ -5,6 +5,11 @@
 //! times it is repeated in one process (the `xtask analyze`
 //! hash-container lints guard the source-level side of this contract).
 
+#![expect(
+    clippy::expect_used,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::scenario::sink::Collect;
 use more_repro::scenario::{Scenario, ScenarioBuilder, TrafficSpec};
 

@@ -2,6 +2,11 @@
 //! protocol registry — exercised from *outside* the bench and scenario
 //! crates, exactly as a downstream user would.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::scenario::{
     record, BuildError, ExpConfig, FlowSpec, ProtocolFactory, Scenario, Sweep, TopologySpec,
     TrafficSpec,

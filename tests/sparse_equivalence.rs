@@ -18,6 +18,12 @@
 //! Regenerate goldens (after an *intentional* change) with
 //! `UPDATE_GOLDEN=1 cargo test --test sparse_equivalence`.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::topology::{generate, NodeId, Topology};
 use proptest::prelude::*;
 

@@ -1,6 +1,12 @@
 //! The headline behavioural difference: MORE exploits spatial reuse; ExOR's
 //! scheduler forbids it (thesis §4.2.3, Fig 4-4).
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::baselines::{ExorAgent, ExorConfig};
 use more_repro::more::{MoreAgent, MoreConfig};
 use more_repro::sim::{SimConfig, Simulator, SEC};

@@ -5,6 +5,11 @@
 //! redesign fixed (zero-width active windows, misbehaving custom
 //! schedules).
 
+#![expect(
+    clippy::expect_used,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::scenario::sink::{Aggregate, Collect, CsvAppend, JsonLines, RunSink, Tee};
 use more_repro::scenario::{
     exec, record, BuildError, FlowEvent, FlowSpec, Scenario, ScenarioBuilder, TrafficModel,

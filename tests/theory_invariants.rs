@@ -2,6 +2,12 @@
 //! generators: the invariants hold on arbitrary generated meshes, not just
 //! the unit tests' hand-built examples.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test support code outside #[test] fns: a panic is the test's failure report"
+)]
+
 use more_repro::metrics::etx::LinkCost;
 use more_repro::metrics::flow::FlowSolution;
 use more_repro::metrics::{EotxTable, EtxTable, ForwarderPlan, PlanConfig};
