@@ -796,6 +796,26 @@ impl NodeAgent for ExorAgent {
         }
         Self::arm_timer(&cfg, fi, &mut f.nodes[node.0], node, ctx);
     }
+
+    fn supports_dynamic_flows(&self) -> bool {
+        true
+    }
+
+    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
+        assert_eq!(
+            desc.dsts.len(),
+            1,
+            "ExOR's scheduler is strictly unicast; multicast arrivals are unsupported"
+        );
+        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
+        let fi = ExorAgent::add_flow(self, id, desc.src, desc.dsts[0], desc.packets);
+        self.start(fi);
+        fi
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        self.halt_flow(index);
+    }
 }
 
 impl ExorAgent {
@@ -867,26 +887,6 @@ impl mesh_sim::FlowAgent for ExorAgent {
             completed_at: p.completed_at,
             done: p.done,
         }
-    }
-
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
-    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        assert_eq!(
-            desc.dsts.len(),
-            1,
-            "ExOR's scheduler is strictly unicast; multicast arrivals are unsupported"
-        );
-        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        let fi = ExorAgent::add_flow(self, id, desc.src, desc.dsts[0], desc.packets);
-        self.start(fi);
-        fi
-    }
-
-    fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
     }
 }
 

@@ -422,21 +422,6 @@ impl NodeAgent for SrcrAgent {
             ctx.mark_backlogged(src);
         }
     }
-}
-
-impl mesh_sim::FlowAgent for SrcrAgent {
-    fn flows_done(&self) -> bool {
-        self.all_done()
-    }
-
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered,
-            completed_at: p.completed_at,
-            done: p.done,
-        }
-    }
 
     fn supports_dynamic_flows(&self) -> bool {
         true
@@ -454,6 +439,21 @@ impl mesh_sim::FlowAgent for SrcrAgent {
 
     fn end_flow(&mut self, index: usize) {
         self.halt_flow(index);
+    }
+}
+
+impl mesh_sim::FlowAgent for SrcrAgent {
+    fn flows_done(&self) -> bool {
+        self.all_done()
+    }
+
+    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
+        let p = self.progress(index);
+        mesh_sim::FlowProgressView {
+            delivered: p.delivered,
+            completed_at: p.completed_at,
+            done: p.done,
+        }
     }
 }
 

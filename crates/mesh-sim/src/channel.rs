@@ -255,11 +255,6 @@ impl ChannelSpec {
         }
     }
 
-    /// True for the default static channel.
-    pub fn is_static(&self) -> bool {
-        matches!(self, ChannelSpec::Static)
-    }
-
     /// Checks that `topo` can host this channel (e.g. shadowing needs
     /// node positions, epochs must be non-zero).
     pub fn validate(&self, topo: &Topology) -> Result<(), String> {

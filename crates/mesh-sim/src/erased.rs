@@ -74,61 +74,17 @@ pub struct FlowProgressView {
 }
 
 /// Measurement interface layered on [`NodeAgent`]: a protocol that moves
-/// a known set of flows and can report progress on each.
-///
-/// The lifecycle hooks ([`FlowAgent::add_flow`] / [`FlowAgent::end_flow`])
-/// let dynamic traffic models inject and withdraw flows **mid-run**; they
-/// default to "unsupported" so existing protocols keep compiling, and
-/// [`FlowAgent::supports_dynamic_flows`] lets harnesses reject a dynamic
-/// workload *before* the run instead of panicking inside it.
+/// a known set of flows and can report progress on each. The mid-run
+/// lifecycle hooks the engine calls ([`NodeAgent::add_flow`] /
+/// [`NodeAgent::end_flow`]) live on [`NodeAgent`]; this trait is what a
+/// measurement harness reads.
 pub trait FlowAgent: NodeAgent {
     /// Every flow resolved (the simulator's stop condition). Flows halted
-    /// by [`FlowAgent::end_flow`] count as resolved.
+    /// by [`NodeAgent::end_flow`] count as resolved.
     fn flows_done(&self) -> bool;
 
     /// Progress of the flow at `index` (the order flows were added).
     fn flow_progress(&self, index: usize) -> FlowProgressView;
-
-    /// Whether this protocol implements the mid-run lifecycle hooks.
-    /// Harnesses must check this before scheduling dynamic traffic.
-    fn supports_dynamic_flows(&self) -> bool {
-        false
-    }
-
-    /// Installs `desc` as a new flow while the simulation is running and
-    /// returns its index (flows are indexed in the order they were added,
-    /// counting the ones installed at construction). The caller is
-    /// responsible for kicking the source's MAC afterwards.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`FlowAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
-        let _ = desc;
-        panic!("this protocol does not support dynamic flow arrivals");
-    }
-
-    /// Halts the flow at `index`: the protocol must stop sourcing and
-    /// forwarding it and must no longer count it against
-    /// [`FlowAgent::flows_done`]. Progress measured so far stays readable.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`FlowAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn end_flow(&mut self, index: usize) {
-        let _ = index;
-        panic!("this protocol does not support dynamic flow departures");
-    }
 }
 
 /// Object-safe [`FlowAgent`] with erased payloads. This is the type the
@@ -156,11 +112,11 @@ pub trait ErasedFlowAgent {
     fn flows_done(&self) -> bool;
     /// [`FlowAgent::flow_progress`], unchanged.
     fn flow_progress(&self, index: usize) -> FlowProgressView;
-    /// [`FlowAgent::supports_dynamic_flows`], unchanged.
+    /// [`NodeAgent::supports_dynamic_flows`], unchanged.
     fn supports_dynamic_flows(&self) -> bool;
-    /// [`FlowAgent::add_flow`], unchanged.
+    /// [`NodeAgent::add_flow`], unchanged.
     fn add_flow(&mut self, desc: &FlowDesc) -> usize;
-    /// [`FlowAgent::end_flow`], unchanged.
+    /// [`NodeAgent::end_flow`], unchanged.
     fn end_flow(&mut self, index: usize);
     /// Downcast access to the concrete agent (protocol-specific stats).
     fn as_any(&self) -> &dyn Any;
@@ -301,16 +257,6 @@ impl NodeAgent for Box<dyn ErasedFlowAgent> {
     fn recycle(&mut self, payload: DynPayload) {
         (**self).recycle(payload);
     }
-}
-
-impl FlowAgent for Box<dyn ErasedFlowAgent> {
-    fn flows_done(&self) -> bool {
-        (**self).flows_done()
-    }
-
-    fn flow_progress(&self, index: usize) -> FlowProgressView {
-        (**self).flow_progress(index)
-    }
 
     fn supports_dynamic_flows(&self) -> bool {
         (**self).supports_dynamic_flows()
@@ -322,6 +268,16 @@ impl FlowAgent for Box<dyn ErasedFlowAgent> {
 
     fn end_flow(&mut self, index: usize) {
         (**self).end_flow(index)
+    }
+}
+
+impl FlowAgent for Box<dyn ErasedFlowAgent> {
+    fn flows_done(&self) -> bool {
+        (**self).flows_done()
+    }
+
+    fn flow_progress(&self, index: usize) -> FlowProgressView {
+        (**self).flow_progress(index)
     }
 }
 

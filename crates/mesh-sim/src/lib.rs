@@ -28,8 +28,9 @@
 //!
 //! Protocols plug in through the [`NodeAgent`] trait: the simulator calls
 //! `poll_tx` when a node's MAC wins a transmit opportunity, delivers
-//! receptions through `on_receive`, and reports transmit outcomes through
-//! `on_tx_done`. Everything is deterministic in the seed.
+//! receptions through `on_receive`, reports transmit outcomes through
+//! `on_tx_done`, and applies scheduled flow arrivals and departures
+//! through `add_flow`/`end_flow`. Everything is deterministic in the seed.
 
 #![deny(missing_docs)]
 
@@ -279,6 +280,50 @@ pub trait NodeAgent {
     /// when no receiver kept a reference the agent gets the sole one back.
     /// The default drops it.
     fn recycle(&mut self, _payload: Self::Payload) {}
+
+    /// Whether this protocol implements the mid-run lifecycle hooks
+    /// ([`NodeAgent::add_flow`] / [`NodeAgent::end_flow`]), through which
+    /// [`Simulator::run_until`] applies the traffic scheduled with
+    /// [`Simulator::schedule_traffic`]. Harnesses must check this before
+    /// scheduling dynamic traffic.
+    fn supports_dynamic_flows(&self) -> bool {
+        false
+    }
+
+    /// Installs `desc` as a new flow while the simulation is running and
+    /// returns its index (flows are indexed in the order they were added,
+    /// counting the ones installed at construction). The engine kicks the
+    /// source's MAC afterwards.
+    ///
+    /// # Panics
+    ///
+    /// The default implementation panics: protocols opt in by overriding
+    /// this together with [`NodeAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
+    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
+        let _ = desc;
+        panic!("this protocol does not support dynamic flow arrivals");
+    }
+
+    /// Halts the flow at `index`: the protocol must stop sourcing and
+    /// forwarding it and must no longer count it against
+    /// [`FlowAgent::flows_done`]. Progress measured so far stays readable.
+    ///
+    /// # Panics
+    ///
+    /// The default implementation panics: protocols opt in by overriding
+    /// this together with [`NodeAgent::supports_dynamic_flows`].
+    #[expect(
+        clippy::panic,
+        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
+    )]
+    fn end_flow(&mut self, index: usize) {
+        let _ = index;
+        panic!("this protocol does not support dynamic flow departures");
+    }
 }
 
 #[cfg(test)]

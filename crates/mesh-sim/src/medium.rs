@@ -238,32 +238,15 @@ impl Medium {
     ///
     /// Delivery probabilities — the frame's own and each interferer's in
     /// the capture rule — are the channel model's instantaneous values at
-    /// the frame's end time. Returns the receiver set; draws per-receiver
-    /// Bernoulli losses from `rng`. `collisions`/`captures` counters are
-    /// incremented for the stats module.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_reception(
-        &mut self,
-        id: u64,
-        chan: &dyn ChannelModel,
-        cfg: &SimConfig,
-        rng: &mut impl Rng,
-        collisions: &mut u64,
-        captures: &mut u64,
-    ) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.evaluate_reception_into(id, chan, cfg, rng, collisions, captures, &mut out);
-        out
-    }
-
-    /// [`Medium::evaluate_reception`] writing the receiver set into a
-    /// caller-supplied vector (cleared first), so the engine's hot path
-    /// reuses one allocation per run instead of one per transmission. The
-    /// transmissions overlapping the frame are gathered once into a
-    /// persistent scratch and shared by the half-duplex and interferer
-    /// checks of every receiver. Same receivers, same counter increments,
-    /// and — critically — the same RNG draws in the same order as the
-    /// per-receiver scan it replaces.
+    /// the frame's end time. Writes the receiver set into `out` (cleared
+    /// first), so the engine's hot path reuses one allocation per run
+    /// instead of one per transmission; draws per-receiver Bernoulli
+    /// losses from `rng`; increments the `collisions`/`captures`
+    /// counters for the stats module. The transmissions overlapping the
+    /// frame are gathered once into a persistent scratch and shared by
+    /// the half-duplex and interferer checks of every receiver. Same
+    /// receivers, same counter increments, and — critically — the same
+    /// RNG draws in the same order as the per-receiver scan it replaced.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_reception_into(
         &mut self,
@@ -445,7 +428,16 @@ mod test {
                 start: 0,
                 end: 100,
             });
-            let rx = m.evaluate_reception(i, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+            let mut rx = Vec::new();
+            m.evaluate_reception_into(
+                i,
+                ch.as_ref(),
+                &cfg(),
+                &mut rng,
+                &mut col,
+                &mut cap,
+                &mut rx,
+            );
             got += rx.len();
         }
         let rate = got as f64 / trials as f64;
@@ -480,8 +472,26 @@ mod test {
             end: 150,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx1 = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
-        let rx2 = m.evaluate_reception(2, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let mut rx1 = Vec::new();
+        m.evaluate_reception_into(
+            1,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx1,
+        );
+        let mut rx2 = Vec::new();
+        m.evaluate_reception_into(
+            2,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx2,
+        );
         assert!(rx1.is_empty(), "frame 1 should be destroyed at node 1");
         assert!(rx2.is_empty(), "frame 2 should be destroyed at node 1");
         assert_eq!(col, 2);
@@ -519,7 +529,16 @@ mod test {
                 end: 110,
             });
             let (mut col, mut cap) = (0, 0);
-            let rx = m.evaluate_reception(2 * i, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+            let mut rx = Vec::new();
+            m.evaluate_reception_into(
+                2 * i,
+                ch.as_ref(),
+                &cfg(),
+                &mut rng,
+                &mut col,
+                &mut cap,
+                &mut rx,
+            );
             if !rx.is_empty() {
                 wins += 1;
                 assert_eq!(cap, 1);
@@ -549,7 +568,16 @@ mod test {
             end: 120,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(
+            1,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx,
+        );
         assert!(rx.is_empty(), "half-duplex node 1 must not receive");
     }
 
@@ -572,7 +600,16 @@ mod test {
             end: 200,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(
+            1,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx,
+        );
         assert_eq!(rx, vec![NodeId(1)]);
         assert_eq!(col, 0);
     }
@@ -681,7 +718,8 @@ mod test {
         let (mut col, mut cap) = (0, 0);
         let mut far_heard = false;
         for _ in 0..100 {
-            let rx = m.evaluate_reception(1, &Omni, &cfg(), &mut rng, &mut col, &mut cap);
+            let mut rx = Vec::new();
+            m.evaluate_reception_into(1, &Omni, &cfg(), &mut rng, &mut col, &mut cap, &mut rx);
             far_heard |= rx.contains(&NodeId(4));
         }
         assert!(far_heard, "all-pairs fallback must reach node 4");
@@ -717,14 +755,16 @@ mod test {
             end: 110,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap, &mut rx);
         assert_eq!(rx, vec![NodeId(1)], "p == ratio × strongest survives");
         assert_eq!((col, cap), (1, 1));
 
         // One hair past the boundary destroys the frame.
         cfg.capture_ratio = 2.0 + 1e-9;
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(1, ch.as_ref(), &cfg, &mut rng, &mut col, &mut cap, &mut rx);
         assert!(rx.is_empty(), "p < ratio × strongest is destroyed");
         assert_eq!((col, cap), (1, 0));
     }
@@ -756,7 +796,16 @@ mod test {
             end: 199,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(1, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(
+            1,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx,
+        );
         assert!(rx.is_empty(), "equal-strength 1 µs overlap destroys both");
         assert_eq!(col, 1);
     }
@@ -782,7 +831,16 @@ mod test {
             end: 200,
         });
         let (mut col, mut cap) = (0, 0);
-        let rx = m.evaluate_reception(2, ch.as_ref(), &cfg(), &mut rng, &mut col, &mut cap);
+        let mut rx = Vec::new();
+        m.evaluate_reception_into(
+            2,
+            ch.as_ref(),
+            &cfg(),
+            &mut rng,
+            &mut col,
+            &mut cap,
+            &mut rx,
+        );
         assert_eq!(rx, vec![NodeId(1)]);
         assert_eq!(col, 0);
     }

@@ -29,7 +29,7 @@
 )]
 
 use crate::channel::{ChannelModel, ChannelSpec};
-use crate::erased::{FlowAgent, FlowDesc};
+use crate::erased::FlowDesc;
 use crate::medium::{Medium, Transmission};
 use crate::queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 use crate::stats::SimStats;
@@ -61,11 +61,11 @@ enum EventKind {
 /// [`Simulator::schedule_traffic`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrafficAction {
-    /// A new flow arrives: [`FlowAgent::add_flow`] is called and the
+    /// A new flow arrives: [`NodeAgent::add_flow`] is called and the
     /// source's MAC is kicked.
     Start(FlowDesc),
     /// The flow at this index (the order flows were added, counting the
-    /// ones installed at construction) departs: [`FlowAgent::end_flow`].
+    /// ones installed at construction) departs: [`NodeAgent::end_flow`].
     Stop(usize),
 }
 
@@ -191,13 +191,11 @@ pub struct Simulator<A: NodeAgent> {
     /// `(time, seq)` so the earliest is popped from the back.
     traffic: Vec<(Time, u64, TrafficAction)>,
     traffic_seq: u64,
-    /// How many of the pending actions are `Start`s (fast path for the
-    /// stop-condition gate: only future *arrivals* can un-resolve a run).
-    pending_starts: usize,
     /// Arrival times of pending `Start`s, descending (earliest at the
-    /// back), rebuilt by [`Simulator::run_with_traffic`] — the stop gate
-    /// peeks the back instead of scanning the whole action list per
-    /// event, keeping 500-flow city runs O(1) per event here.
+    /// back), rebuilt by [`Simulator::run_until`] — the stop gate (only
+    /// future *arrivals* can un-resolve a run) peeks the back instead of
+    /// scanning the whole action list per event, keeping 500-flow city
+    /// runs O(1) per event here.
     start_times_desc: Vec<Time>,
     /// Scratch for [`Ctx::set_timer`] requests, reused across callbacks so
     /// the per-event hot path allocates nothing.
@@ -347,7 +345,6 @@ impl<A: NodeAgent> Simulator<A> {
             next_tx_id: 0,
             traffic: Vec::new(),
             traffic_seq: 0,
-            pending_starts: 0,
             start_times_desc: Vec::new(),
             scratch_timers: Vec::new(),
             scratch_kicks: Vec::new(),
@@ -358,17 +355,14 @@ impl<A: NodeAgent> Simulator<A> {
     }
 
     /// Schedules a dynamic-workload action for simulated time `at`.
-    /// Actions fire inside [`Simulator::run_with_traffic`], interleaved
+    /// Actions fire inside [`Simulator::run_until`], interleaved
     /// with the event queue; at equal timestamps traffic actions apply
     /// before engine events, and same-instant actions apply in the order
     /// they were scheduled.
     pub fn schedule_traffic(&mut self, at: Time, action: TrafficAction) {
-        if matches!(action, TrafficAction::Start(_)) {
-            self.pending_starts += 1;
-        }
         self.traffic_seq += 1;
         self.traffic.push((at, self.traffic_seq, action));
-        // Ordered once per run ([`Simulator::run_with_traffic`]), not per
+        // Ordered once per run ([`Simulator::run_until`]), not per
         // insertion — schedules are built in bulk before the run starts.
     }
 
@@ -421,11 +415,57 @@ impl<A: NodeAgent> Simulator<A> {
         self.cfg.difs_us + slots * self.cfg.slot_us
     }
 
-    /// Runs until `deadline` or until `stop(&agent)` or event exhaustion.
+    /// Runs until `deadline` or until `stop(&agent)` or event exhaustion,
+    /// returning the simulated time at exit.
     ///
-    /// Returns the simulated time at exit.
+    /// Each traffic action scheduled via [`Simulator::schedule_traffic`]
+    /// fires at its timestamp, before engine events due at the same
+    /// instant. `stop` is only honoured while no flow arrival ≤ `deadline`
+    /// is pending, so a run cannot end in the quiet gap before the next
+    /// arrival. With no traffic scheduled the loop pays one empty check
+    /// per event, and static workloads stay byte-identical to the
+    /// pre-traffic-model engine.
     pub fn run_until(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
-        while let Some(Reverse((at, _, ev))) = self.queue.pop() {
+        if !self.traffic.is_empty() {
+            // Descending (time, seq): the earliest action sits at the back.
+            self.traffic.sort_by_key(|&(t, s, _)| Reverse((t, s)));
+            // Starts are applied earliest-first, so their times form a
+            // stack.
+            self.start_times_desc = self
+                .traffic
+                .iter()
+                .filter(|(_, _, a)| matches!(a, TrafficAction::Start(_)))
+                .map(|&(t, _, _)| t)
+                .collect();
+        }
+        loop {
+            // Apply every traffic action due before the next engine event.
+            // Only traffic actions change what `may_stop` reads, so it is
+            // settled before the engine event is dispatched.
+            let may_stop = match self.traffic.last() {
+                None => true,
+                Some(&(t, _, _)) => {
+                    let before_engine = self.queue.peek().is_none_or(|Reverse((e, _, _))| t <= *e);
+                    if t <= deadline && before_engine {
+                        let (at, _, action) = self.traffic.pop().expect("peeked just above");
+                        self.now = at;
+                        self.apply_traffic(action);
+                        if self.traffic_drained(deadline) && stop(&self.agent) {
+                            break;
+                        }
+                        continue;
+                    }
+                    self.traffic_drained(deadline)
+                }
+            };
+            let Some(Reverse((at, _, ev))) = self.queue.pop() else {
+                // No engine events and no traffic due: time stops at the
+                // deadline if anything remains scheduled beyond it.
+                if !self.traffic.is_empty() {
+                    self.now = deadline;
+                }
+                break;
+            };
             if at > deadline {
                 // Leave the event for a future run; time stops at deadline.
                 self.push_back(at, ev);
@@ -435,7 +475,7 @@ impl<A: NodeAgent> Simulator<A> {
             self.now = at;
             self.stats.events += 1;
             self.dispatch(ev);
-            if stop(&self.agent) {
+            if may_stop && stop(&self.agent) {
                 break;
             }
             if self.stats.events.is_multiple_of(4096) {
@@ -443,6 +483,31 @@ impl<A: NodeAgent> Simulator<A> {
             }
         }
         self.now
+    }
+
+    /// No flow *arrival* is still due before `deadline`. Pending `Stop`s
+    /// do not gate the stop condition: a departure cannot un-resolve a
+    /// flow, so waiting for one would only inflate the reported run time
+    /// past the instant everything finished.
+    fn traffic_drained(&self, deadline: Time) -> bool {
+        self.start_times_desc.last().is_none_or(|&t| t > deadline)
+    }
+
+    fn apply_traffic(&mut self, action: TrafficAction) {
+        match action {
+            TrafficAction::Start(desc) => {
+                self.start_times_desc.pop();
+                let src = desc.src;
+                let index = self.agent.add_flow(&desc);
+                // Registry-built protocols assign flow id = index + 1,
+                // so dynamic arrivals can be auto-paced by id.
+                if let Some(cfg) = self.queues.as_ref().and_then(|l| l.auto_pace) {
+                    self.pace_flow(index as u32 + 1, src, cfg);
+                }
+                self.kick_at(src, self.now);
+            }
+            TrafficAction::Stop(index) => self.agent.end_flow(index),
+        }
     }
 
     fn push_back(&mut self, at: Time, ev: EventKind) {
@@ -837,98 +902,5 @@ impl<A: NodeAgent> Simulator<A> {
         self.states[node.0] = MacState::Waiting;
         let d = self.backoff_delay(self.cfg.cw_min);
         self.push(self.now + d, EventKind::TryTx { node });
-    }
-}
-
-impl<A: FlowAgent> Simulator<A> {
-    /// [`Simulator::run_until`] with the traffic queue interleaved: each
-    /// action scheduled via [`Simulator::schedule_traffic`] fires at its
-    /// timestamp, before engine events due at the same instant. `stop` is
-    /// only honoured while no traffic action ≤ `deadline` is pending, so a
-    /// run cannot end in the quiet gap before the next arrival.
-    ///
-    /// With an empty traffic queue this **is** `run_until` — same events,
-    /// same RNG stream, same exit time — which is what keeps static
-    /// workloads byte-identical to the pre-traffic-model engine.
-    pub fn run_with_traffic(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
-        if self.traffic.is_empty() {
-            return self.run_until(deadline, stop);
-        }
-        // Descending (time, seq): the earliest action sits at the back.
-        self.traffic.sort_by_key(|&(t, s, _)| Reverse((t, s)));
-        // Starts are applied earliest-first, so their times form a stack.
-        self.start_times_desc = self
-            .traffic
-            .iter()
-            .filter(|(_, _, a)| matches!(a, TrafficAction::Start(_)))
-            .map(|&(t, _, _)| t)
-            .collect();
-        loop {
-            // Apply every traffic action due before the next engine event.
-            let next_engine = self.queue.peek().map(|Reverse((t, _, _))| *t);
-            let traffic_due = match (self.traffic.last(), next_engine) {
-                (Some(&(t, _, _)), Some(e)) => t <= e && t <= deadline,
-                (Some(&(t, _, _)), None) => t <= deadline,
-                (None, _) => false,
-            };
-            if traffic_due {
-                let (at, _, action) = self.traffic.pop().expect("traffic_due checked");
-                self.now = at;
-                self.apply_traffic(action);
-                if self.traffic_drained(deadline) && stop(&self.agent) {
-                    break;
-                }
-                continue;
-            }
-            let Some(Reverse((at, _, ev))) = self.queue.pop() else {
-                // No engine events and no traffic due: time stops at the
-                // deadline if anything remains scheduled beyond it.
-                if !self.traffic.is_empty() {
-                    self.now = deadline;
-                }
-                break;
-            };
-            if at > deadline {
-                self.push_back(at, ev);
-                self.now = deadline;
-                break;
-            }
-            self.now = at;
-            self.stats.events += 1;
-            self.dispatch(ev);
-            if self.traffic_drained(deadline) && stop(&self.agent) {
-                break;
-            }
-            if self.stats.events.is_multiple_of(4096) {
-                self.medium.prune(self.now);
-            }
-        }
-        self.now
-    }
-
-    /// No flow *arrival* is still due before `deadline`. Pending `Stop`s
-    /// do not gate the stop condition: a departure cannot un-resolve a
-    /// flow, so waiting for one would only inflate the reported run time
-    /// past the instant everything finished.
-    fn traffic_drained(&self, deadline: Time) -> bool {
-        self.pending_starts == 0 || self.start_times_desc.last().is_none_or(|&t| t > deadline)
-    }
-
-    fn apply_traffic(&mut self, action: TrafficAction) {
-        match action {
-            TrafficAction::Start(desc) => {
-                self.pending_starts -= 1;
-                self.start_times_desc.pop();
-                let src = desc.src;
-                let index = self.agent.add_flow(&desc);
-                // Registry-built protocols assign flow id = index + 1,
-                // so dynamic arrivals can be auto-paced by id.
-                if let Some(cfg) = self.queues.as_ref().and_then(|l| l.auto_pace) {
-                    self.pace_flow(index as u32 + 1, src, cfg);
-                }
-                self.kick_at(src, self.now);
-            }
-            TrafficAction::Stop(index) => self.agent.end_flow(index),
-        }
     }
 }

@@ -98,12 +98,6 @@ impl CellGrid {
         grid
     }
 
-    /// Side length of one cell, meters.
-    #[inline]
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
     /// Cell coordinates for a point, clamped into the grid.
     #[inline]
     fn cell_of(&self, x: f64, y: f64) -> (usize, usize) {

@@ -520,21 +520,6 @@ impl NodeAgent for MoreAgent {
             pool::release(packet.into_data());
         }
     }
-}
-
-impl mesh_sim::FlowAgent for MoreAgent {
-    fn flows_done(&self) -> bool {
-        self.all_done()
-    }
-
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered_packets,
-            completed_at: p.completed_at,
-            done: p.done,
-        }
-    }
 
     fn supports_dynamic_flows(&self) -> bool {
         true
@@ -552,6 +537,21 @@ impl mesh_sim::FlowAgent for MoreAgent {
 
     fn end_flow(&mut self, index: usize) {
         self.halt_flow(index);
+    }
+}
+
+impl mesh_sim::FlowAgent for MoreAgent {
+    fn flows_done(&self) -> bool {
+        self.all_done()
+    }
+
+    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
+        let p = self.progress(index);
+        mesh_sim::FlowProgressView {
+            delivered: p.delivered_packets,
+            completed_at: p.completed_at,
+            done: p.done,
+        }
     }
 }
 

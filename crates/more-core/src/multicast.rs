@@ -560,6 +560,19 @@ impl NodeAgent for MulticastMoreAgent {
             pool::release(packet.into_data());
         }
     }
+
+    fn supports_dynamic_flows(&self) -> bool {
+        true
+    }
+
+    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
+        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
+        MulticastMoreAgent::add_flow(self, id, desc.src, desc.dsts.clone(), desc.packets)
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        self.halt_flow(index);
+    }
 }
 
 impl mesh_sim::FlowAgent for MulticastMoreAgent {
@@ -583,19 +596,6 @@ impl mesh_sim::FlowAgent for MulticastMoreAgent {
             completed_at,
             done: p.done,
         }
-    }
-
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
-    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        MulticastMoreAgent::add_flow(self, id, desc.src, desc.dsts.clone(), desc.packets)
-    }
-
-    fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
     }
 }
 

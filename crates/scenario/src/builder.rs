@@ -1,4 +1,5 @@
-//! The fluent [`ScenarioBuilder`] and the parallel scenario engine.
+//! The fluent [`ScenarioBuilder`]: what a scenario declares, and the
+//! `run*` entry points that execute it.
 //!
 //! A scenario is the cross product
 //!
@@ -7,32 +8,27 @@
 //! ```
 //!
 //! over one declared topology and traffic shape. Each coordinate is one
-//! deterministic simulator run producing one [`RunRecord`]; the grid is
-//! executed on a worker pool ([`crate::exec::par_map`]) because runs are
+//! deterministic simulator run producing one [`RunRecord`]. Running goes
+//! builder → validated plan (every sweep point resolved once) →
+//! executor, which runs the grid on a worker pool because runs are
 //! independent by construction.
 
 #![expect(
-    clippy::expect_used,
-    clippy::indexing_slicing,
     clippy::panic,
-    reason = "run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API); sweep-grid indices are bounded by the arity computed in the same function."
+    reason = "run()/run_with_sink() panic on configuration errors as their documented contract (the try_* forms are the fallible API)."
 )]
 
 use crate::exec;
-use crate::manifest::{cell_key, Manifest};
-use crate::record::{time_to_s, FlowRecord, RunRecord};
+use crate::executor;
+use crate::plan::Plan;
+use crate::record::RunRecord;
 use crate::registry::{BuildError, ProtocolRegistry};
 use crate::sink::{Collect, RunSink};
-use crate::spec::{scale_loss, ExpConfig, FlowSpec, Sweep, TopologySpec, TrafficSpec};
-use crate::traffic::{flow_windows, validate_schedule, FlowWindow, TrafficModelSpec};
-use mesh_sim::{
-    AimdConfig, Bitrate, ChannelSpec, ErasedFlowAgent, FlowAgent, FlowDesc, QueueSpec, SimConfig,
-    Simulator, TrafficAction, SEC, TICK,
-};
+use crate::spec::{ExpConfig, Sweep, TopologySpec, TrafficSpec};
+use crate::traffic::TrafficModelSpec;
+use mesh_sim::{AimdConfig, Bitrate, ChannelSpec, QueueSpec, SimConfig};
 use mesh_topology::estimator::LinkEstimator;
-use mesh_topology::{NodeId, Topology};
-use std::collections::BTreeMap;
-use std::ops::ControlFlow;
+use mesh_topology::NodeId;
 
 /// An owned sink as stored by [`ScenarioBuilder::sink`]: `Send + Sync`
 /// so the builder stays shareable with the executor's worker threads
@@ -113,20 +109,20 @@ impl Scenario {
 /// [`ScenarioBuilder::try_run_with_sink`].
 #[must_use]
 pub struct ScenarioBuilder {
-    name: String,
-    topology: TopologySpec,
-    traffic: TrafficModelSpec,
-    protocols: Vec<String>,
-    sweep: Option<Sweep>,
-    seeds: Vec<u64>,
-    base: ExpConfig,
-    sim: SimConfig,
-    channel: ChannelSpec,
-    queue: QueueSpec,
-    congestion: Option<AimdConfig>,
-    probe: Option<(LinkEstimator, u64)>,
+    pub(crate) name: String,
+    pub(crate) topology: TopologySpec,
+    pub(crate) traffic: TrafficModelSpec,
+    pub(crate) protocols: Vec<String>,
+    pub(crate) sweep: Option<Sweep>,
+    pub(crate) seeds: Vec<u64>,
+    pub(crate) base: ExpConfig,
+    pub(crate) sim: SimConfig,
+    pub(crate) channel: ChannelSpec,
+    pub(crate) queue: QueueSpec,
+    pub(crate) congestion: Option<AimdConfig>,
+    pub(crate) probe: Option<(LinkEstimator, u64)>,
     threads: Option<usize>,
-    registry: ProtocolRegistry,
+    pub(crate) registry: ProtocolRegistry,
     sink: Option<BoxedSink>,
     on_complete: Option<ProgressFn>,
     checkpoint_dir: Option<String>,
@@ -197,8 +193,8 @@ impl ScenarioBuilder {
     /// Sets the traffic model — how flows arrive and depart over the run
     /// (default: the static [`TrafficSpec`] expansion). Dynamic models
     /// inject flows mid-run through the protocol's
-    /// [`mesh_sim::FlowAgent::add_flow`] lifecycle hook and withdraw them
-    /// via [`mesh_sim::FlowAgent::end_flow`]; per-flow arrival, departure,
+    /// [`mesh_sim::NodeAgent::add_flow`] lifecycle hook and withdraw them
+    /// via [`mesh_sim::NodeAgent::end_flow`]; per-flow arrival, departure,
     /// and completion latency land in each record's flow rows.
     ///
     /// ```
@@ -381,9 +377,10 @@ impl ScenarioBuilder {
     /// run: each source paces its injections at an additive-increase
     /// rate that halves (by [`AimdConfig::decrease`]) whenever the local
     /// queue drops one of the flow's frames. Requires a bounded
-    /// [`ScenarioBuilder::queue`] — the pacer reacts to queue losses, and
-    /// the unbounded legacy path has none. At `Sweep::Queue` points that
-    /// are unbounded, pacing is skipped for that point.
+    /// [`ScenarioBuilder::queue`] at some grid point — the pacer reacts
+    /// to queue losses, and the unbounded legacy path has none. At
+    /// `Sweep::Queue` points that are unbounded, pacing is skipped for
+    /// that point.
     pub fn congestion(mut self, cfg: AimdConfig) -> Self {
         self.congestion = Some(cfg);
         self
@@ -498,119 +495,6 @@ impl ScenarioBuilder {
         self.stream_into(sink)
     }
 
-    /// Checks that the declared sweep can be applied to the declared
-    /// traffic model and that the model's parameters (at every sweep
-    /// point) are valid, so mismatches fail at build time — before any
-    /// worker thread spawns — like channel-spec validation does.
-    fn validate_sweep_traffic(&self) -> Result<(), BuildError> {
-        match (&self.sweep, &self.traffic) {
-            (
-                Some(Sweep::Flows(_)),
-                TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { .. })
-                | TrafficModelSpec::Staggered { .. },
-            ) => {}
-            (Some(Sweep::Flows(_)), other) => {
-                return Err(BuildError::Unsupported(format!(
-                    "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
-                     TrafficModelSpec::Staggered traffic, got {other:?}"
-                )))
-            }
-            (Some(Sweep::Load(_)), TrafficModelSpec::Poisson { .. }) => {}
-            (Some(Sweep::Load(_)), other) => {
-                return Err(BuildError::Unsupported(format!(
-                    "Sweep::Load sweeps the arrival rate of TrafficModelSpec::Poisson \
-                     traffic, got {other:?}"
-                )))
-            }
-            _ => {}
-        }
-        let deadline_s = self.base.deadline_s;
-        // When the sweep overrides one of the model's parameters, the base
-        // value never runs — only the substituted configurations below do,
-        // so validating the base spec would spuriously reject valid sweeps
-        // (e.g. a placeholder n_flows too large for the deadline).
-        let sweep_overrides_model = matches!(
-            (&self.sweep, &self.traffic),
-            (Some(Sweep::Load(_)), TrafficModelSpec::Poisson { .. })
-                | (Some(Sweep::Flows(_)), TrafficModelSpec::Staggered { .. })
-        );
-        if !sweep_overrides_model {
-            self.traffic
-                .validate(deadline_s)
-                .map_err(BuildError::Unsupported)?;
-        }
-        // Every sweep point substitutes a parameter into the model; each
-        // substituted configuration must be valid too.
-        match (&self.sweep, &self.traffic) {
-            (
-                Some(Sweep::Load(v)),
-                TrafficModelSpec::Poisson {
-                    mean_hold_s,
-                    max_active,
-                    ..
-                },
-            ) => {
-                for &rate_per_s in v {
-                    TrafficModelSpec::Poisson {
-                        rate_per_s,
-                        mean_hold_s: *mean_hold_s,
-                        max_active: *max_active,
-                    }
-                    .validate(deadline_s)
-                    .map_err(BuildError::Unsupported)?;
-                }
-            }
-            (
-                Some(Sweep::Flows(v)),
-                TrafficModelSpec::Staggered {
-                    gap_ms, hold_ms, ..
-                },
-            ) => {
-                for &n_flows in v {
-                    TrafficModelSpec::Staggered {
-                        n_flows,
-                        gap_ms: *gap_ms,
-                        hold_ms: *hold_ms,
-                    }
-                    .validate(deadline_s)
-                    .map_err(BuildError::Unsupported)?;
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Checks the queue discipline and congestion-control parameters (at
-    /// every sweep point) so bad configurations fail at build time, like
-    /// channel-spec and traffic validation do.
-    fn validate_queue(&self) -> Result<(), BuildError> {
-        self.queue.validate().map_err(BuildError::InvalidQueue)?;
-        if let Some(Sweep::Queue(points)) = &self.sweep {
-            for spec in points {
-                spec.validate().map_err(BuildError::InvalidQueue)?;
-            }
-        }
-        if let Some(cc) = &self.congestion {
-            cc.validate().map_err(BuildError::InvalidQueue)?;
-            // The pacer is keyed to queue losses; a grid with no bounded
-            // queue anywhere would silently never pace.
-            let any_bounded = !self.queue.is_unbounded()
-                || matches!(&self.sweep, Some(Sweep::Queue(points))
-                    if points.iter().any(|q| !q.is_unbounded()));
-            if !any_bounded {
-                return Err(BuildError::InvalidQueue(
-                    "congestion control requires a bounded queue discipline \
-                     (set ScenarioBuilder::queue or sweep Sweep::Queue with a \
-                     bounded point); the unbounded legacy path has no queue \
-                     losses to react to"
-                        .to_string(),
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Executes the grid, surfacing configuration errors. With a
     /// configured [`ScenarioBuilder::sink`] the returned `Vec` is empty —
     /// the records streamed into the sink instead; otherwise a default
@@ -630,591 +514,25 @@ impl ScenarioBuilder {
         }
     }
 
-    /// The streaming core under every `run` flavor: executes the grid on
-    /// the sharded executor, restores deterministic grid order with a
-    /// bounded reorder buffer, and feeds `sink` one record at a time —
-    /// checkpointing each completed cell when
-    /// [`ScenarioBuilder::checkpoint`] is set.
+    /// The streaming core under every `run` flavor: validates the
+    /// scenario into a plan and hands it to the executor.
     fn stream_into(mut self, sink: &mut dyn RunSink) -> Result<RunSummary, BuildError> {
-        self.validate_sweep_traffic()?;
-        self.validate_queue()?;
-        let mut on_complete = self.on_complete.take();
-        let protocols = if self.protocols.is_empty() {
-            // No explicit selection: run everything registered.
-            self.registry
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        } else {
-            self.protocols.clone()
-        };
-        // Resolve every factory up front so typos fail before any work.
-        let factories: Vec<_> = protocols
-            .iter()
-            .map(|name| self.registry.resolve(name))
-            .collect::<Result<Vec<_>, _>>()?;
-
-        let sweep_points: Vec<Option<usize>> = match &self.sweep {
-            None => vec![None],
-            Some(s) => (0..s.len()).map(Some).collect(),
-        };
-
-        // Work grid: protocol × sweep × seed (flow sets expand inside the
-        // worker because RandomConcurrent traffic depends on the seed).
-        let mut grid = Vec::new();
-        for (pi, _) in factories.iter().enumerate() {
-            for &sp in &sweep_points {
-                for &seed in &self.seeds {
-                    grid.push((pi, sp, seed));
-                }
-            }
-        }
-        let keys: Vec<String> = grid
-            .iter()
-            .map(|&(pi, sp, seed)| cell_key(&protocols[pi], sp, seed))
-            .collect();
-
-        // Checkpoint/resume: load (or start) the manifest, trim the sink
-        // files to their last durable offsets, and skip the completed
-        // prefix of the grid. The fingerprint covers everything the cell
-        // keys don't: resuming after changing packets, the swept values,
-        // the channel, etc. must be rejected, not silently mixed into
-        // one output file. (`Custom(..)` topologies/traffic fingerprint
-        // opaquely — two different custom closures are indistinguishable
-        // here.)
-        let mut fingerprint = format!(
-            "topo={:?} traffic={:?} sweep={:?} base={:?} sim={:?} channel={} probe={:?}",
-            self.topology,
-            self.traffic,
-            self.sweep,
-            self.base,
-            self.sim,
-            self.channel.label(),
-            self.probe,
-        );
-        // Appended only when configured, so manifests written before the
-        // queueing subsystem existed still resume.
-        if !self.queue.is_unbounded() {
-            fingerprint.push_str(&format!(" queue={}", self.queue.label()));
-        }
-        if let Some(cc) = &self.congestion {
-            fingerprint.push_str(&format!(" cc={}", cc.label()));
-        }
-        let sink_err = |e: std::io::Error| BuildError::Sink(e.to_string());
-        let (mut manifest, manifest_path, skipped) = match &self.checkpoint_dir {
-            None => (None, String::new(), 0),
-            Some(dir) => {
-                let path = Manifest::path_for(dir, &self.name);
-                match Manifest::load(&path).map_err(sink_err)? {
-                    None => {
-                        // Fresh checkpointed sweep: claim the sink files
-                        // (drop bytes from any earlier un-manifested
-                        // attempt so append-mode sinks start clean).
-                        sink.rewind_to(&BTreeMap::new()).map_err(sink_err)?;
-                        (Some(Manifest::new(&self.name, &fingerprint)), path, 0)
-                    }
-                    Some(m) => {
-                        // Records are emitted in grid order, so a valid
-                        // manifest is always an exact prefix of this
-                        // grid with the same configuration; anything
-                        // else means the scenario changed under the
-                        // checkpoint.
-                        if m.scenario != self.name
-                            || m.config != fingerprint
-                            || m.cells.len() > keys.len()
-                            || m.cells[..] != keys[..m.cells.len()]
-                        {
-                            return Err(BuildError::Sink(format!(
-                                "manifest {path} does not match this scenario's grid \
-                                 or configuration (was the sweep reconfigured \
-                                 mid-resume?); delete it to restart the sweep"
-                            )));
-                        }
-                        // Resuming only makes sense into file-backed
-                        // sinks: an in-memory sink (Collect, Aggregate)
-                        // would silently hold just the non-skipped tail.
-                        if !m.cells.is_empty() && sink.offsets().map_err(sink_err)?.is_empty() {
-                            return Err(BuildError::Sink(format!(
-                                "manifest {path} has {} completed cell(s), but the \
-                                 attached sink owns no files to resume into — an \
-                                 in-memory sink would silently miss the completed \
-                                 prefix; use JsonLines/CsvAppend (append mode), or \
-                                 delete the manifest to restart the sweep",
-                                m.cells.len()
-                            )));
-                        }
-                        sink.rewind_to(&m.sink_offsets).map_err(sink_err)?;
-                        let skipped = m.cells.len();
-                        (Some(m), path, skipped)
-                    }
-                }
-            }
-        };
-        let todo: Vec<(usize, Option<usize>, u64)> = grid[skipped..].to_vec();
-        let cells_total = grid.len();
-
+        let plan = Plan::new(&self)?;
         let threads = self.threads.unwrap_or_else(exec::default_threads);
-        let this = &self;
-        let factories = &factories;
-        let protocols_ref = &protocols;
-        // Probed routing beliefs depend only on (sweep point, seed), never
-        // on the protocol — share one probe window across the whole grid.
-        let probe_cache: std::sync::Mutex<BTreeMap<(Option<usize>, u64), Topology>> =
-            std::sync::Mutex::new(BTreeMap::new());
-        let probe_cache = &probe_cache;
-
-        // Drain state: workers report cells in completion order; the
-        // reorder buffer holds out-of-order cells until their turn, so
-        // the sink always sees deterministic grid order while memory
-        // stays bounded by how far completion runs ahead of emission.
-        let mut pending: BTreeMap<usize, Vec<RunRecord>> = BTreeMap::new();
-        let mut pending_records = 0usize;
-        let mut next_emit = 0usize;
-        let mut emitted = 0usize;
-        let mut high_water = 0usize;
-        let mut failure: Option<BuildError> = None;
-
-        exec::par_map_streaming(
-            todo,
+        executor::stream_into(
+            &plan,
             threads,
-            |&(pi, sp, seed)| {
-                this.run_cell(
-                    &protocols_ref[pi],
-                    factories[pi].as_ref(),
-                    sp,
-                    seed,
-                    probe_cache,
-                )
-            },
-            |j, result| {
-                let records = match result {
-                    Ok(records) => records,
-                    Err(e) => {
-                        failure = Some(e);
-                        return ControlFlow::Break(());
-                    }
-                };
-                pending_records += records.len();
-                pending.insert(j, records);
-                high_water = high_water.max(pending_records + sink.held());
-                while let Some(records) = pending.remove(&next_emit) {
-                    pending_records -= records.len();
-                    for r in &records {
-                        if let Err(e) = sink.record(r) {
-                            failure = Some(BuildError::Sink(e.to_string()));
-                            return ControlFlow::Break(());
-                        }
-                        emitted += 1;
-                        high_water = high_water.max(pending_records + sink.held());
-                        if let Some(cb) = on_complete.as_mut() {
-                            cb(
-                                r,
-                                Progress {
-                                    records: emitted,
-                                    cells_done: skipped + next_emit,
-                                    cells_total,
-                                },
-                            );
-                        }
-                    }
-                    // Durability boundary: flush — and checkpoint — per
-                    // completed grid cell.
-                    let committed = match &mut manifest {
-                        Some(m) => sink.offsets().and_then(|offsets| {
-                            m.commit(&manifest_path, keys[skipped + next_emit].clone(), offsets)
-                        }),
-                        None => sink.flush(),
-                    };
-                    if let Err(e) = committed {
-                        failure = Some(BuildError::Sink(e.to_string()));
-                        return ControlFlow::Break(());
-                    }
-                    next_emit += 1;
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        sink.finish().map_err(sink_err)?;
-        Ok(RunSummary {
-            records: emitted,
-            cells_run: next_emit,
-            cells_skipped: skipped,
-            records_high_water: high_water,
-        })
-    }
-
-    /// Runs every flow set of one (protocol, sweep point, seed) cell.
-    fn run_cell(
-        &self,
-        proto_name: &str,
-        factory: &dyn crate::registry::ProtocolFactory,
-        sweep_point: Option<usize>,
-        seed: u64,
-        probe_cache: &std::sync::Mutex<std::collections::BTreeMap<(Option<usize>, u64), Topology>>,
-    ) -> Result<Vec<RunRecord>, BuildError> {
-        // Apply the sweep point to the parameter block and topology.
-        let mut cfg = ExpConfig { seed, ..self.base };
-        let mut sim_cfg = self.sim;
-        let mut topo = self.topology.instantiate(seed);
-        if topo.n() == 0 {
-            return Err(BuildError::Unsupported(format!(
-                "topology {} has no nodes; nothing can be scheduled or routed",
-                topo.name
-            )));
-        }
-        let mut traffic = self.traffic.clone();
-        let mut chan = self.channel.clone();
-        let mut queue = self.queue.clone();
-        let (param, value) = match (&self.sweep, sweep_point) {
-            (Some(sweep), Some(i)) => {
-                match sweep {
-                    Sweep::Packets(v) => cfg.packets = v[i],
-                    Sweep::K(v) => cfg.k = v[i],
-                    Sweep::Bitrate(v) => cfg.bitrate = v[i],
-                    Sweep::LossScale(v) => topo = scale_loss(&topo, v[i]),
-                    Sweep::Channel(v) => chan = v[i].clone(),
-                    Sweep::Queue(v) => queue = v[i].clone(),
-                    Sweep::Flows(v) => {
-                        traffic = match traffic {
-                            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                                seed_offset,
-                                distinct_sources,
-                                ..
-                            }) => TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
-                                n_flows: v[i],
-                                seed_offset,
-                                distinct_sources,
-                            }),
-                            TrafficModelSpec::Staggered {
-                                gap_ms, hold_ms, ..
-                            } => TrafficModelSpec::Staggered {
-                                n_flows: v[i],
-                                gap_ms,
-                                hold_ms,
-                            },
-                            // Unreachable through try_run (validated up
-                            // front), kept for direct run_cell callers.
-                            other => {
-                                return Err(BuildError::Unsupported(format!(
-                                    "Sweep::Flows requires TrafficSpec::RandomConcurrent or \
-                                     TrafficModelSpec::Staggered traffic, got {other:?}"
-                                )))
-                            }
-                        };
-                    }
-                    Sweep::Load(v) => {
-                        traffic = match traffic {
-                            TrafficModelSpec::Poisson {
-                                mean_hold_s,
-                                max_active,
-                                ..
-                            } => TrafficModelSpec::Poisson {
-                                rate_per_s: v[i],
-                                mean_hold_s,
-                                max_active,
-                            },
-                            other => {
-                                return Err(BuildError::Unsupported(format!(
-                                    "Sweep::Load sweeps the arrival rate of \
-                                     TrafficModelSpec::Poisson traffic, got {other:?}"
-                                )))
-                            }
-                        };
-                    }
-                }
-                (Some(sweep.label()), Some(sweep.value(i)))
-            }
-            _ => (None, None),
-        };
-        sim_cfg.bitrate = cfg.bitrate;
-        chan.validate(&topo).map_err(BuildError::Unsupported)?;
-        // Revalidated here — like the channel — for direct run_cell
-        // callers that bypass try_run's up-front check.
-        queue.validate().map_err(BuildError::InvalidQueue)?;
-
-        // Routing beliefs: the truth matrix, or a probe-window estimate
-        // of the live channel when `probe_routing` is set (deterministic
-        // per (sweep point, seed), so protocols share one cached window;
-        // a losing racer recomputes the identical topology).
-        let believed = self.probe.as_ref().map(|(est, interval)| {
-            let key = (sweep_point, seed);
-            if let Some(t) = probe_cache.lock().expect("probe cache").get(&key) {
-                return t.clone();
-            }
-            let t = mesh_sim::channel::probe_topology(est, &topo, &chan, seed, *interval);
-            probe_cache
-                .lock()
-                .expect("probe cache")
-                .entry(key)
-                .or_insert(t)
-                .clone()
-        });
-        let routing_topo = believed.as_ref().unwrap_or(&topo);
-
-        let horizon = cfg.deadline_s * SEC;
-        // Endpoint feasibility depends on the instantiated topology, so it
-        // is checked here — like the channel spec — and surfaces as an
-        // error from the grid instead of a worker panic.
-        traffic
-            .validate_for(&topo)
-            .map_err(BuildError::Unsupported)?;
-        let model = traffic.build();
-        let schedules = model.schedules(&topo, seed, cfg.packets, horizon);
-        let mut records = Vec::with_capacity(schedules.len());
-        for (ti, schedule) in schedules.into_iter().enumerate() {
-            // A misbehaving Custom model (Stop for an unknown flow, Stop
-            // before its Start, events past the horizon) must surface as
-            // a BuildError from the grid, not a panic inside a worker
-            // thread; the built-ins satisfy this by construction.
-            validate_schedule(&schedule, horizon).map_err(|e| {
-                BuildError::InvalidSchedule(format!("traffic model {:?}: {e}", self.traffic))
-            })?;
-            let windows = flow_windows(&schedule);
-            // Degenerate endpoints — out-of-range nodes, self-flows,
-            // unreachable (src, dst) pairs on single-node or partitioned
-            // meshes — must surface as grid errors, not ETX/EOTX panics
-            // inside the factory.
-            validate_endpoints(routing_topo, &windows)?;
-            // Flows arriving at t = 0 are installed at construction — the
-            // legacy path, byte-identical for static workloads; the rest
-            // are injected mid-run through the agent's lifecycle hooks.
-            let initial: Vec<FlowSpec> = windows
-                .iter()
-                .filter(|w| w.start == 0)
-                .map(|w| w.spec.clone())
-                .collect();
-            let agent = factory.build(routing_topo, &initial, &cfg)?;
-            let dynamic = windows.iter().any(|w| w.start > 0 || w.stop.is_some());
-            if dynamic && !agent.supports_dynamic_flows() {
-                return Err(BuildError::Unsupported(format!(
-                    "protocol {proto_name} does not implement the dynamic flow \
-                     lifecycle (FlowAgent::add_flow/end_flow) required by \
-                     traffic model {:?}",
-                    self.traffic
-                )));
-            }
-            let record = run_one(
-                &self.name,
-                proto_name,
-                &topo,
-                &windows,
-                dynamic,
-                &cfg,
-                &sim_cfg,
-                &chan,
-                &queue,
-                self.congestion,
-                agent,
-                param,
-                value,
-                ti,
-            );
-            records.push(record);
-        }
-        Ok(records)
-    }
-}
-
-/// Rejects flows no protocol can route: endpoints outside the topology,
-/// self-flows, and (src, dst) pairs with no `p > 0` path in the routing
-/// topology. ETX/EOTX table and forwarder-plan extraction assume a
-/// finite-cost path; without this check a degenerate single-node mesh,
-/// a partitioned city layout, or a probe window that lost the last link
-/// to a destination panics deep inside a worker thread instead of
-/// surfacing a [`BuildError`] from the grid.
-fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), BuildError> {
-    let n = topo.n();
-    // One BFS per distinct source, shared across its flows.
-    let mut reach: BTreeMap<usize, Vec<Option<usize>>> = BTreeMap::new();
-    for w in windows {
-        let f = &w.spec;
-        if f.src.0 >= n {
-            return Err(BuildError::Unsupported(format!(
-                "flow source {} is outside topology {} ({n} nodes)",
-                f.src, topo.name
-            )));
-        }
-        let hops = reach
-            .entry(f.src.0)
-            .or_insert_with(|| topo.hops_from(f.src));
-        for &d in &f.dsts {
-            if d.0 >= n {
-                return Err(BuildError::Unsupported(format!(
-                    "flow destination {d} is outside topology {} ({n} nodes)",
-                    topo.name
-                )));
-            }
-            if d == f.src {
-                return Err(BuildError::Unsupported(format!(
-                    "flow {} -> {d} sends to its own source; routing metrics \
-                     are undefined for self-flows",
-                    f.src
-                )));
-            }
-            if hops[d.0].is_none() {
-                return Err(BuildError::Unsupported(format!(
-                    "destination {d} is unreachable from source {} in topology \
-                     {}; no p > 0 path exists for route extraction",
-                    f.src, topo.name
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs one flow schedule to completion (or deadline) and measures it.
-///
-/// Flows starting at t = 0 are pre-installed in `agent` and kicked, the
-/// rest are injected through the simulator's traffic queue; per-flow
-/// arrival/departure/latency is recorded for dynamic schedules (and
-/// omitted for static ones, which stay byte-identical to the
-/// pre-traffic-model engine). A bounded `queue` installs the queueing
-/// layer; `congestion` then paces every flow's source (flow ids are
-/// `1..=windows.len()` in window order — the factory contract — and
-/// dynamically arriving flows are auto-paced via the traffic hook).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::borrowed_box)] // run's stop callback receives &A = &Box<dyn _>
-fn run_one(
-    scenario: &str,
-    protocol: &str,
-    topo: &Topology,
-    windows: &[FlowWindow],
-    dynamic: bool,
-    cfg: &ExpConfig,
-    sim_cfg: &SimConfig,
-    chan: &ChannelSpec,
-    queue: &QueueSpec,
-    congestion: Option<AimdConfig>,
-    agent: Box<dyn ErasedFlowAgent>,
-    param: Option<&'static str>,
-    value: Option<f64>,
-    traffic_index: usize,
-) -> RunRecord {
-    let deadline = cfg.deadline_s * SEC;
-    let mut sim = Simulator::with_queue(topo.clone(), *sim_cfg, chan, queue, agent, cfg.seed);
-    if let Some(cc) = congestion.filter(|_| !queue.is_unbounded()) {
-        for (i, w) in windows.iter().enumerate() {
-            if w.start == 0 {
-                sim.pace_flow(i as u32 + 1, w.spec.src, cc);
-            }
-        }
-        // Flows the traffic model injects mid-run are paced as they
-        // arrive.
-        sim.pace_all_flows(cc);
-    }
-    for (i, w) in windows.iter().enumerate() {
-        if w.start == 0 {
-            sim.kick(w.spec.src);
-        } else {
-            sim.schedule_traffic(
-                w.start,
-                TrafficAction::Start(FlowDesc {
-                    src: w.spec.src,
-                    dsts: w.spec.dsts.clone(),
-                    packets: w.spec.packets,
-                }),
-            );
-        }
-        if let Some(stop) = w.stop {
-            sim.schedule_traffic(stop, TrafficAction::Stop(i));
-        }
-    }
-    sim.run_with_traffic(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
-
-    let concurrency = {
-        let total = sim.stats.total_airtime();
-        if total == 0 {
-            0.0
-        } else {
-            sim.stats.concurrent_airtime as f64 / total as f64
-        }
-    };
-    let flow_records = windows
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let p = sim.agent.flow_progress(i);
-            let start = w.start;
-            let (throughput_pps, completed) = match p.completed_at {
-                Some(t) if t > start => (p.delivered as f64 / time_to_s(t - start), true),
-                _ => {
-                    // Ran until departure or deadline without finishing.
-                    // A zero-width active window — a Poisson arrival at
-                    // the horizon edge, or a departure at the arrival
-                    // instant — must report 0.0 (the flow was never
-                    // active): a 0-width division would emit a
-                    // non-finite value that poisons NaN-intolerant
-                    // downstream stats. The TICK clamp is redundant
-                    // while `Time` is integer µs (end > start implies
-                    // ≥ 1 tick) — it pins the invariant against a
-                    // finer-grained Time ever landing.
-                    let end = w.stop.unwrap_or(deadline).min(deadline);
-                    let tput = if end <= start {
-                        0.0
-                    } else {
-                        p.delivered as f64 / time_to_s((end - start).max(TICK))
-                    };
-                    (tput, false)
-                }
-            };
-            FlowRecord {
-                src: w.spec.src,
-                dsts: w.spec.dsts.clone(),
-                delivered: p.delivered,
-                throughput_pps,
-                queue_drops: sim
-                    .stats
-                    .queue_drops_by_flow
-                    .get(&(i as u32 + 1))
-                    .copied()
-                    .unwrap_or(0),
-                completed,
-                completed_at_s: p.completed_at.map(time_to_s),
-                started_at_s: dynamic.then(|| time_to_s(start)),
-                // A departure only counts if the flow had not already
-                // completed its budget when it fired.
-                stopped_at_s: w
-                    .stop
-                    .filter(|&s| p.completed_at.is_none_or(|t| t > s))
-                    .map(time_to_s),
-                latency_s: if dynamic {
-                    p.completed_at
-                        .filter(|&t| t > start)
-                        .map(|t| time_to_s(t - start))
-                } else {
-                    None
-                },
-            }
-        })
-        .collect::<Vec<FlowRecord>>();
-    let throughputs: Vec<f64> = flow_records.iter().map(|f| f.throughput_pps).collect();
-    RunRecord {
-        scenario: scenario.to_string(),
-        protocol: protocol.to_string(),
-        topology: topo.name.clone(),
-        channel: chan.label(),
-        queue: queue.label(),
-        param,
-        value,
-        seed: cfg.seed,
-        traffic_index,
-        flows: flow_records,
-        total_tx: sim.stats.total_tx(),
-        queue_drops: sim.stats.total_queue_drops(),
-        fairness: mesh_metrics::fairness::jain(&throughputs),
-        concurrency,
-        sim_time_s: time_to_s(sim.now()),
+            self.checkpoint_dir.as_deref(),
+            self.on_complete.take(),
+            sink,
+        )
     }
 }
 
 #[cfg(test)]
 mod test {
     use super::*;
+    use mesh_topology::Topology;
 
     #[test]
     fn unknown_protocol_fails_before_running() {
@@ -1349,6 +667,75 @@ mod test {
             .try_run()
             .expect_err("ramp exceeds the deadline");
         assert!(matches!(ramp, BuildError::Unsupported(_)));
+        // Static traffic is validated too: an empty random flow set, a
+        // Flows sweep point needing more distinct sources than the
+        // testbed's 20 nodes, and a multicast flow with no destination
+        // must each fail before a worker thread could panic on them.
+        let random = |n_flows| TrafficSpec::RandomConcurrent {
+            n_flows,
+            seed_offset: 0,
+            distinct_sources: true,
+        };
+        let cases = [
+            ("no-random-flows", random(0), None),
+            (
+                "too-many-sources",
+                random(2),
+                Some(Sweep::Flows(vec![2, 50])),
+            ),
+            (
+                "no-multicast-dsts",
+                TrafficSpec::Multicast {
+                    src: NodeId(0),
+                    dsts: vec![],
+                },
+                None,
+            ),
+        ];
+        for (name, traffic, sweep) in cases {
+            let mut builder = Scenario::named(name)
+                .testbed(1)
+                .traffic(traffic)
+                .protocol("MORE")
+                .packets(8);
+            if let Some(sweep) = sweep {
+                builder = builder.sweep(sweep);
+            }
+            let err = builder.try_run().expect_err(name);
+            assert!(matches!(err, BuildError::Unsupported(_)), "{name}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn bad_queue_parameters_fail_at_build_time() {
+        let grid = |name: &str, sweep: Sweep| {
+            Scenario::named(name)
+                .topology(TopologySpec::Line {
+                    hops: 2,
+                    p_adj: 0.9,
+                    skip_decay: 0.3,
+                    spacing: 25.0,
+                })
+                .pair(NodeId(0), NodeId(2))
+                .protocol("Srcr")
+                .packets(4)
+                .sweep(sweep)
+        };
+        // Every swept discipline is validated, not just the base one.
+        let err = grid(
+            "bad-queue-point",
+            Sweep::Queue(vec![QueueSpec::drop_tail(4), QueueSpec::drop_tail(0)]),
+        )
+        .try_run()
+        .expect_err("zero-capacity queue point");
+        assert!(matches!(err, BuildError::InvalidQueue(_)), "{err:?}");
+        // Congestion control over a grid with no bounded point never
+        // paces anything.
+        let err = grid("unpaced", Sweep::Queue(vec![QueueSpec::Unbounded]))
+            .congestion(AimdConfig::default())
+            .try_run()
+            .expect_err("no bounded queue to pace against");
+        assert!(matches!(err, BuildError::InvalidQueue(_)), "{err:?}");
     }
 
     #[test]

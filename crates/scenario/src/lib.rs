@@ -37,7 +37,7 @@
 //!   objects too: the legacy static [`TrafficSpec`] expansion is one
 //!   model among several (Poisson arrivals, on-off sources, staggered
 //!   ramps), and dynamic models start and stop flows *mid-run* through
-//!   the protocol's [`mesh_sim::FlowAgent`] lifecycle hooks.
+//!   the protocol's [`mesh_sim::NodeAgent`] lifecycle hooks.
 //! * [`sink::RunSink`] — results *stream*: each record is handed to a
 //!   sink the moment its grid cell completes (in deterministic grid
 //!   order). [`sink::Collect`] reproduces the legacy `Vec<RunRecord>`
@@ -56,8 +56,10 @@
 
 pub mod builder;
 pub mod exec;
+mod executor;
 pub mod manifest;
 mod pairs;
+mod plan;
 pub mod protocols;
 pub mod record;
 pub mod registry;

@@ -530,7 +530,29 @@ impl TrafficModelSpec {
     /// validation uses). The models keep equivalent asserts as backstops
     /// for direct trait use.
     pub fn validate_for(&self, topo: &Topology) -> Result<(), String> {
+        // `n` flows need `n` distinct sources that each reach a
+        // destination, or else `n` distinct reachable pairs.
+        let host = |n_flows: usize, distinct_sources: bool| {
+            let pool = PairPool::new(topo);
+            let (have, what) = if distinct_sources {
+                (pool.sources_with_destinations(), "sources reach anything")
+            } else {
+                (pool.len(), "pairs are reachable")
+            };
+            if have < n_flows {
+                return Err(format!(
+                    "topology {} cannot host {n_flows} flows ({have} {what})",
+                    topo.name
+                ));
+            }
+            Ok(())
+        };
         match self {
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent {
+                n_flows,
+                distinct_sources,
+                ..
+            }) => host(*n_flows, *distinct_sources),
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson { .. } => {
                 // A reachable ordered pair exists iff any `p > 0` link
@@ -541,30 +563,8 @@ impl TrafficModelSpec {
                 }
                 Ok(())
             }
-            TrafficModelSpec::OnOff { n_flows, .. } => {
-                let pairs = PairPool::new(topo).len();
-                if pairs < *n_flows {
-                    return Err(format!(
-                        "topology {} has {pairs} reachable pairs, fewer than the \
-                         {n_flows} on-off sources requested",
-                        topo.name
-                    ));
-                }
-                Ok(())
-            }
-            TrafficModelSpec::Staggered { n_flows, .. } => {
-                // The ramp needs n_flows distinct sources, each with at
-                // least one reachable destination.
-                let sources = PairPool::new(topo).sources_with_destinations();
-                if sources < *n_flows {
-                    return Err(format!(
-                        "topology {} cannot host {n_flows} distinct-source flows \
-                         ({sources} sources reach anything)",
-                        topo.name
-                    ));
-                }
-                Ok(())
-            }
+            TrafficModelSpec::OnOff { n_flows, .. } => host(*n_flows, false),
+            TrafficModelSpec::Staggered { n_flows, .. } => host(*n_flows, true),
         }
     }
 
@@ -580,6 +580,14 @@ impl TrafficModelSpec {
             }
         }
         match self {
+            TrafficModelSpec::Static(TrafficSpec::RandomConcurrent { n_flows: 0, .. }) => {
+                Err("RandomConcurrent needs at least one flow".into())
+            }
+            TrafficModelSpec::Static(TrafficSpec::Multicast { src, dsts }) if dsts.is_empty() => {
+                Err(format!(
+                    "multicast flow from {src} needs at least one destination"
+                ))
+            }
             TrafficModelSpec::Static(_) | TrafficModelSpec::Custom(_) => Ok(()),
             TrafficModelSpec::Poisson {
                 rate_per_s,
