@@ -29,9 +29,11 @@
 use bytes::Bytes;
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan, PlanConfig};
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, Time, TxOutcome};
+use mesh_sim::{take_payload, Ctx, DynPayload, ErasedFlowAgent, Frame, OutFrame, Time, TxOutcome};
 use mesh_topology::{NodeId, Topology};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// "No known holder" sentinel in batch maps.
 const NO_HOLDER: u8 = u8::MAX;
@@ -331,10 +333,6 @@ impl ExorAgent {
         &self.flows[index].progress
     }
 
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
     fn flow_index(&self, id: u32) -> Option<usize> {
         self.flows.iter().position(|f| f.id == id)
     }
@@ -425,12 +423,13 @@ impl ExorAgent {
     }
 }
 
-impl NodeAgent for ExorAgent {
-    type Payload = ExorPayload;
-
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<ExorPayload>, ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for ExorAgent {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        let Some(payload) = frame.payload.downcast_ref::<ExorPayload>() else {
+            return;
+        };
         let cfg = self.cfg;
-        match &frame.payload {
+        match payload {
             ExorPayload::Data {
                 flow,
                 batch,
@@ -631,7 +630,7 @@ impl NodeAgent for ExorAgent {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<ExorPayload>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         let cfg = self.cfg;
         let nf = self.flows.len();
         if nf == 0 {
@@ -654,7 +653,7 @@ impl NodeAgent for ExorAgent {
                         bytes: 30,
                         bitrate: None,
                         flow: Some(id),
-                        payload: ExorPayload::BatchDone { flow: id, batch },
+                        payload: Rc::new(ExorPayload::BatchDone { flow: id, batch }),
                     });
                 }
             }
@@ -670,11 +669,11 @@ impl NodeAgent for ExorAgent {
                         bytes: cfg.packet_bytes + cfg.header_extra,
                         bitrate: None,
                         flow: Some(id),
-                        payload: ExorPayload::Direct {
+                        payload: Rc::new(ExorPayload::Direct {
                             flow: id,
                             batch,
                             seq,
-                        },
+                        }),
                     });
                 }
             }
@@ -705,14 +704,14 @@ impl NodeAgent for ExorAgent {
                     bytes: cfg.packet_bytes + cfg.header_extra + k,
                     bitrate: None,
                     flow: Some(f.id),
-                    payload: ExorPayload::Data {
+                    payload: Rc::new(ExorPayload::Data {
                         flow: f.id,
                         batch: ns.batch,
                         seq,
                         sender_rank: my_rank,
                         remaining,
                         map,
-                    },
+                    }),
                 });
             }
             // Empty turn: one gossip frame passes the token explicitly.
@@ -724,12 +723,12 @@ impl NodeAgent for ExorAgent {
                 bytes: 30 + k,
                 bitrate: None,
                 flow: Some(f.id),
-                payload: ExorPayload::Gossip {
+                payload: Rc::new(ExorPayload::Gossip {
                     flow: f.id,
                     batch,
                     sender_rank: my_rank,
                     map,
-                },
+                }),
             });
         }
         None
@@ -738,24 +737,26 @@ impl NodeAgent for ExorAgent {
     fn on_queue_drop(
         &mut self,
         node: NodeId,
-        payload: ExorPayload,
+        payload: DynPayload,
         _cause: mesh_sim::queue::DropCause,
         ctx: &mut Ctx<'_>,
     ) {
         // Reliable unicasts must survive a queue drop: retract the
         // outstanding entry and re-queue. Dropped broadcasts are just
         // unheard transmissions; their payloads hold nothing pooled.
-        let removed = match payload {
-            ExorPayload::Direct { flow, batch, seq } => self.flow_index(flow).and_then(|fi| {
-                let out = &mut self.outstanding[node.0];
-                out.iter()
-                    .rposition(|inf| {
-                        matches!(inf, InFlight::Direct { fi: i, batch: b, seq: s }
-                                if *i == fi && *b == batch && *s == seq)
-                    })
-                    .and_then(|pos| out.remove(pos))
-            }),
-            ExorPayload::BatchDone { flow, batch } => self.flow_index(flow).and_then(|fi| {
+        let removed = match take_payload(payload) {
+            Some(ExorPayload::Direct { flow, batch, seq }) => {
+                self.flow_index(flow).and_then(|fi| {
+                    let out = &mut self.outstanding[node.0];
+                    out.iter()
+                        .rposition(|inf| {
+                            matches!(inf, InFlight::Direct { fi: i, batch: b, seq: s }
+                                    if *i == fi && *b == batch && *s == seq)
+                        })
+                        .and_then(|pos| out.remove(pos))
+                })
+            }
+            Some(ExorPayload::BatchDone { flow, batch }) => self.flow_index(flow).and_then(|fi| {
                 let out = &mut self.outstanding[node.0];
                 out.iter()
                     .rposition(|inf| {
@@ -764,7 +765,7 @@ impl NodeAgent for ExorAgent {
                     })
                     .and_then(|pos| out.remove(pos))
             }),
-            ExorPayload::Data { .. } | ExorPayload::Gossip { .. } => None,
+            Some(ExorPayload::Data { .. } | ExorPayload::Gossip { .. }) | None => None,
         };
         if let Some(inf) = removed {
             self.requeue_unicast(node, inf);
@@ -797,6 +798,19 @@ impl NodeAgent for ExorAgent {
         Self::arm_timer(&cfg, fi, &mut f.nodes[node.0], node, ctx);
     }
 
+    fn flows_done(&self) -> bool {
+        self.flows.iter().all(|f| f.progress.done || f.halted)
+    }
+
+    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
+        let p = self.progress(index);
+        mesh_sim::FlowProgressView {
+            delivered: p.delivered,
+            completed_at: p.completed_at,
+            done: p.done,
+        }
+    }
+
     fn supports_dynamic_flows(&self) -> bool {
         true
     }
@@ -815,6 +829,14 @@ impl NodeAgent for ExorAgent {
 
     fn end_flow(&mut self, index: usize) {
         self.halt_flow(index);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -875,21 +897,6 @@ impl ExorAgent {
     }
 }
 
-impl mesh_sim::FlowAgent for ExorAgent {
-    fn flows_done(&self) -> bool {
-        self.all_done()
-    }
-
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered,
-            completed_at: p.completed_at,
-            done: p.done,
-        }
-    }
-}
-
 #[cfg(test)]
 mod test {
     use super::*;
@@ -903,13 +910,13 @@ mod test {
         dst: usize,
         total: usize,
         seed: u64,
-    ) -> (Simulator<ExorAgent>, usize) {
+    ) -> (Simulator, usize) {
         let mut agent = ExorAgent::new(topo.clone(), cfg);
         let fi = agent.add_flow(1, NodeId(src), NodeId(dst), total);
         agent.start(fi);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), seed);
         sim.kick(NodeId(src));
-        sim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
+        sim.run_until(900 * SEC, |a| a.flows_done());
         (sim, fi)
     }
 
@@ -917,7 +924,7 @@ mod test {
     fn one_hop_batch_completes() {
         let topo = generate::line(1, 0.8, 0.0, 20.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 1, 32, 1);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "flow did not finish");
         assert_eq!(p.delivered, 32);
     }
@@ -926,7 +933,7 @@ mod test {
     fn relay_line_completes() {
         let topo = generate::line(3, 0.7, 0.3, 25.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 3, 32, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "relay flow stuck");
         assert_eq!(p.delivered, 32);
     }
@@ -935,7 +942,8 @@ mod test {
     fn multiple_batches_complete() {
         let topo = generate::line(2, 0.8, 0.2, 25.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 2, 96, 3);
-        let p = sim.agent.progress(fi);
+        let agent: &ExorAgent = sim.agent.as_any().downcast_ref().expect("an ExorAgent");
+        let p = agent.progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered, 96);
         assert_eq!(p.completed_batches, 3);
@@ -945,7 +953,7 @@ mod test {
     fn testbed_transfer_completes() {
         let topo = generate::testbed(1);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 19, 64, 4);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "testbed ExOR flow stuck");
         assert_eq!(p.delivered, 64);
     }
@@ -956,7 +964,7 @@ mod test {
         // concurrent airtime — the scheduler serializes transmissions.
         let topo = generate::line(4, 0.85, 0.2, 30.0);
         let (sim, fi) = run(topo, ExorConfig::default(), 0, 4, 64, 5);
-        assert!(sim.agent.progress(fi).done);
+        assert!(sim.agent.flow_progress(fi).done);
         let concurrent = sim.stats.concurrent_airtime as f64;
         let total = sim.stats.total_airtime() as f64;
         assert!(
@@ -993,8 +1001,8 @@ mod test {
             64,
             6,
         );
-        let t8 = sim8.agent.progress(fi8).completed_at.unwrap();
-        let t64 = sim64.agent.progress(fi64).completed_at.unwrap();
+        let t8 = sim8.agent.flow_progress(fi8).completed_at.unwrap();
+        let t64 = sim64.agent.flow_progress(fi64).completed_at.unwrap();
         assert!(
             t8 > t64,
             "K=8 ({t8} µs) should be slower than K=64 ({t64} µs)"

@@ -9,8 +9,8 @@
 //!   time forwarder schedule in ETX order that ties the MAC to routing —
 //!   the structure MORE trades for randomness.
 //!
-//! Both are implemented as [`mesh_sim::NodeAgent`]s so every figure runs
-//! all three protocols over the identical medium, topology, and seed
+//! Both implement [`mesh_sim::ErasedFlowAgent`] so every figure runs all
+//! three protocols over the identical medium, topology, and seed
 //! discipline.
 
 pub mod exor;

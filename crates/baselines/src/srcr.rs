@@ -23,9 +23,14 @@ use mesh_metrics::etx::LinkCost;
 use mesh_metrics::EtxTable;
 use mesh_sim::autorate::OnoeConfig;
 use mesh_sim::queue::DropCause;
-use mesh_sim::{Bitrate, Ctx, Frame, NodeAgent, OnoeAutorate, OutFrame, Time, TxOutcome};
+use mesh_sim::{
+    take_payload, Bitrate, Ctx, DynPayload, ErasedFlowAgent, Frame, OnoeAutorate, OutFrame, Time,
+    TxOutcome,
+};
 use mesh_topology::{NodeId, Topology};
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// Srcr parameters.
 #[derive(Clone, Copy, Debug)]
@@ -207,11 +212,6 @@ impl SrcrAgent {
         &self.flows[index].progress
     }
 
-    /// All flows resolved every packet (withdrawn flows count as done)?
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
     fn rate_for(&mut self, node: NodeId, nh: NodeId) -> Option<Bitrate> {
         if !self.cfg.autorate {
             return Some(self.default_rate);
@@ -247,22 +247,23 @@ impl SrcrAgent {
     }
 }
 
-impl NodeAgent for SrcrAgent {
-    type Payload = SrcrPayload;
-
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<SrcrPayload>, ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for SrcrAgent {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
         // Srcr links are point-to-point: ignore overheard frames.
         if frame.dst != Some(node) {
             return;
         }
-        let Some(fi) = self.flow_index(frame.payload.flow) else {
+        let Some(payload) = frame.payload.downcast_ref::<SrcrPayload>() else {
+            return;
+        };
+        let Some(fi) = self.flow_index(payload.flow) else {
             return;
         };
         let f = &mut self.flows[fi];
         if f.halted {
             return; // departed flows count nothing further
         }
-        let seq = frame.payload.seq;
+        let seq = payload.seq;
         if node == f.dst {
             let new = !std::mem::replace(&mut f.got[seq as usize], true);
             if new {
@@ -333,7 +334,7 @@ impl NodeAgent for SrcrAgent {
         ctx.mark_backlogged(node);
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<SrcrPayload>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         let nf = self.flows.len();
         if nf == 0 {
             return None;
@@ -387,7 +388,7 @@ impl NodeAgent for SrcrAgent {
                 bytes: self.cfg.packet_bytes,
                 bitrate: rate,
                 flow: Some(f.id),
-                payload: SrcrPayload { flow: f.id, seq },
+                payload: Rc::new(SrcrPayload { flow: f.id, seq }),
             });
         }
         self.node_flows[node.0] = cands;
@@ -397,13 +398,16 @@ impl NodeAgent for SrcrAgent {
     fn on_queue_drop(
         &mut self,
         node: NodeId,
-        payload: SrcrPayload,
+        payload: DynPayload,
         _cause: DropCause,
         ctx: &mut Ctx<'_>,
     ) {
         // The transmit queue discarded a packet the MAC never sent:
         // retract the outstanding entry and account the loss exactly like
         // a retry-exhausted unicast.
+        let Some(payload) = take_payload::<SrcrPayload>(payload) else {
+            return;
+        };
         let Some(fi) = self.flow_index(payload.flow) else {
             return;
         };
@@ -420,6 +424,19 @@ impl NodeAgent for SrcrAgent {
             Self::resolve(f, false, ctx.now());
             let src = f.src;
             ctx.mark_backlogged(src);
+        }
+    }
+
+    fn flows_done(&self) -> bool {
+        self.flows.iter().all(|f| f.progress.done || f.halted)
+    }
+
+    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
+        let p = self.progress(index);
+        mesh_sim::FlowProgressView {
+            delivered: p.delivered,
+            completed_at: p.completed_at,
+            done: p.done,
         }
     }
 
@@ -440,20 +457,13 @@ impl NodeAgent for SrcrAgent {
     fn end_flow(&mut self, index: usize) {
         self.halt_flow(index);
     }
-}
 
-impl mesh_sim::FlowAgent for SrcrAgent {
-    fn flows_done(&self) -> bool {
-        self.all_done()
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered,
-            completed_at: p.completed_at,
-            done: p.done,
-        }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -470,20 +480,25 @@ mod test {
         dst: usize,
         total: usize,
         seed: u64,
-    ) -> (Simulator<SrcrAgent>, usize) {
+    ) -> (Simulator, usize) {
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B5_5);
         let fi = agent.add_flow(1, NodeId(src), NodeId(dst), total);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), seed);
         sim.kick(NodeId(src));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
+        sim.run_until(600 * SEC, |a| a.flows_done());
         (sim, fi)
+    }
+
+    /// The concrete agent behind the simulator, for Srcr-specific stats.
+    fn srcr(sim: &Simulator) -> &SrcrAgent {
+        sim.agent.as_any().downcast_ref().expect("a SrcrAgent")
     }
 
     #[test]
     fn perfect_line_delivers_everything() {
         let topo = generate::line(2, 1.0, 0.0, 25.0);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 100, 1);
-        let p = sim.agent.progress(fi);
+        let p = srcr(&sim).progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered, 100);
         assert_eq!(p.dropped, 0);
@@ -493,7 +508,7 @@ mod test {
     fn lossy_line_mostly_delivers_via_retries() {
         let topo = generate::line(2, 0.7, 0.0, 25.0);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 200, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
         // Per-hop attempt success = 0.49 (data × MAC-ACK); 8 attempts
         // ⇒ ~0.5% loss per hop.
@@ -507,7 +522,7 @@ mod test {
         // forward-reverse ETX needs bidirectional links.)
         let topo = generate::motivating_symmetric();
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 2, 50, 3);
-        let p = *sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
         assert_eq!(p.delivered, 50);
         // Node 1 (the relay) must have carried traffic.
@@ -518,7 +533,7 @@ mod test {
     fn testbed_transfer_completes() {
         let topo = generate::testbed(1);
         let (sim, fi) = run(topo, SrcrConfig::default(), 0, 19, 64, 4);
-        let p = sim.agent.progress(fi);
+        let p = srcr(&sim).progress(fi);
         assert!(p.done, "srcr testbed flow stuck");
         assert!(
             p.delivered + p.dropped == 64 && p.delivered >= 48,
@@ -534,12 +549,12 @@ mod test {
         let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
         let f1 = agent.add_flow(1, NodeId(0), NodeId(19), 60);
         let f2 = agent.add_flow(2, NodeId(7), NodeId(11), 60);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 5);
         sim.kick(NodeId(0));
         sim.kick(NodeId(7));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-        assert!(sim.agent.progress(f1).done);
-        assert!(sim.agent.progress(f2).done);
+        sim.run_until(600 * SEC, |a| a.flows_done());
+        assert!(sim.agent.flow_progress(f1).done);
+        assert!(sim.agent.flow_progress(f2).done);
     }
 
     #[test]
@@ -551,12 +566,12 @@ mod test {
         };
         let mut agent = SrcrAgent::new(topo.clone(), cfg, Bitrate::B11);
         let fi = agent.add_flow(1, NodeId(0), NodeId(1), 400);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, 6);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 6);
         sim.kick(NodeId(0));
-        sim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done);
+        sim.run_until(600 * SEC, |a| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done);
         assert!(
-            !sim.agent.autorate.is_empty(),
+            !srcr(&sim).autorate.is_empty(),
             "autorate state never created"
         );
     }

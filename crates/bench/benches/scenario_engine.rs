@@ -1,14 +1,9 @@
-//! Benchmarks of the scenario engine itself.
-//!
-//! The registry redesign moved every run behind `Box<dyn
-//! ErasedFlowAgent>` (payload type erasure + dynamic dispatch). These
-//! benches quantify that cost against the old monomorphic path — the
-//! erasure adds one `Rc` per transmitted frame and a payload clone per
-//! reception, which must stay noise next to event-queue and medium
-//! work — and measure a whole scenario grid end-to-end.
+//! Benchmarks of the scenario engine itself: one MORE transfer on each
+//! channel model and queue discipline, the traffic-model and sink
+//! paths, and a whole scenario grid end-to-end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh_sim::{ChannelSpec, Erased, ErasedFlowAgent, QueueSpec, SimConfig, Simulator, SEC};
+use mesh_sim::{ChannelSpec, QueueSpec, SimConfig, Simulator, SEC};
 use mesh_topology::{generate, NodeId};
 use more_core::{MoreAgent, MoreConfig};
 use more_scenario::{Scenario, TopologySpec, TrafficModelSpec, TrafficSpec};
@@ -19,36 +14,6 @@ const PACKETS: usize = 64;
 
 fn line() -> mesh_topology::Topology {
     generate::line(3, 0.85, 0.2, 25.0)
-}
-
-/// The pre-redesign path: a concrete `Simulator<MoreAgent>`.
-#[allow(clippy::borrowed_box)] // run_until's stop callback receives &A = &Box<dyn _>
-fn bench_direct_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scenario_engine/more_transfer");
-    let topo = line();
-    group.bench_function("direct_generic", |b| {
-        b.iter(|| {
-            let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-            agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
-            let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 1);
-            sim.kick(NodeId(0));
-            sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-            black_box(sim.stats.total_tx())
-        })
-    });
-    // The registry path: same run through payload erasure + vtables.
-    group.bench_function("erased_dyn", |b| {
-        b.iter(|| {
-            let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
-            agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
-            let boxed: Box<dyn ErasedFlowAgent> = Box::new(Erased(agent));
-            let mut sim = Simulator::new(topo.clone(), SimConfig::default(), boxed, 1);
-            sim.kick(NodeId(0));
-            sim.run_until(600 * SEC, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
-            black_box(sim.stats.total_tx())
-        })
-    });
-    group.finish();
 }
 
 /// Channel-model cost: the same MORE transfer on static air (the
@@ -69,10 +34,15 @@ fn bench_channel_models(c: &mut Criterion) {
             b.iter(|| {
                 let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
                 agent.add_flow(1, NodeId(0), NodeId(3), PACKETS);
-                let mut sim =
-                    Simulator::with_channel(topo.clone(), SimConfig::default(), &spec, agent, 1);
+                let mut sim = Simulator::with_channel(
+                    topo.clone(),
+                    SimConfig::default(),
+                    &spec,
+                    Box::new(agent),
+                    1,
+                );
                 sim.kick(NodeId(0));
-                sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+                sim.run_until(600 * SEC, |a| a.flows_done());
                 black_box(sim.stats.total_tx())
             })
         });
@@ -103,11 +73,11 @@ fn bench_queue_disciplines(c: &mut Criterion) {
                     SimConfig::default(),
                     &ChannelSpec::Static,
                     &spec,
-                    agent,
+                    Box::new(agent),
                     1,
                 );
                 sim.kick(NodeId(0));
-                sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+                sim.run_until(600 * SEC, |a| a.flows_done());
                 black_box(sim.stats.total_tx())
             })
         });
@@ -228,7 +198,6 @@ fn bench_sink_pipeline(c: &mut Criterion) {
 
 criterion_group!(
     scenario_engine,
-    bench_direct_dispatch,
     bench_channel_models,
     bench_queue_disciplines,
     bench_traffic_models,

@@ -26,25 +26,26 @@
 //!   and an Onoe-style autorate controller ([`autorate`]) for the Fig 4-6
 //!   experiment.
 //!
-//! Protocols plug in through the [`NodeAgent`] trait: the simulator calls
-//! `poll_tx` when a node's MAC wins a transmit opportunity, delivers
-//! receptions through `on_receive`, reports transmit outcomes through
-//! `on_tx_done`, and applies scheduled flow arrivals and departures
-//! through `add_flow`/`end_flow`. Everything is deterministic in the seed.
+//! Protocols plug in through the one object-safe [`ErasedFlowAgent`]
+//! trait: the simulator calls `poll_tx` when a node's MAC wins a transmit
+//! opportunity, delivers receptions through `on_receive`, reports
+//! transmit outcomes through `on_tx_done`, and applies scheduled flow
+//! arrivals and departures through `add_flow`/`end_flow`. Everything is
+//! deterministic in the seed.
 
 #![deny(missing_docs)]
 
+pub mod agent;
 pub mod autorate;
 pub mod channel;
-pub mod erased;
 pub mod medium;
 pub mod queue;
 pub mod simulator;
 pub mod stats;
 
+pub use agent::{take_payload, DynPayload, ErasedFlowAgent, FlowDesc, FlowProgressView};
 pub use autorate::OnoeAutorate;
 pub use channel::{ChannelModel, ChannelSpec};
-pub use erased::{DynPayload, Erased, ErasedFlowAgent, FlowAgent, FlowDesc, FlowProgressView};
 pub use medium::Medium;
 pub use queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 pub use simulator::{Ctx, Simulator, TrafficAction};
@@ -223,107 +224,6 @@ pub enum TxOutcome {
         /// Retransmissions attempted before giving up.
         retries: u32,
     },
-}
-
-/// A protocol running on every node of the simulated mesh.
-///
-/// One agent instance manages all nodes (the simulator passes the node id
-/// to every callback); implementations must only use state local to that
-/// node to keep the semantics of a distributed protocol.
-pub trait NodeAgent {
-    /// Protocol payload type carried in frames.
-    type Payload: Clone;
-
-    /// A frame was received by `node`.
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<Self::Payload>, ctx: &mut Ctx<'_>);
-
-    /// A transmission by `node` finished with `outcome`.
-    fn on_tx_done(&mut self, node: NodeId, outcome: TxOutcome, ctx: &mut Ctx<'_>);
-
-    /// The MAC at `node` won a transmit opportunity; return a frame or
-    /// `None` to go idle (the MAC will poll again after
-    /// [`Ctx::mark_backlogged`]).
-    ///
-    /// With a bounded [`queue::QueueSpec`] configured, the engine may
-    /// poll several frames back-to-back to fill the node's transmit
-    /// queue, so more than one polled frame can be outstanding at once.
-    /// Outcomes are reported in poll order for frames that reach the
-    /// air ([`NodeAgent::on_tx_done`]), while queue drops are reported
-    /// out of band with the frame's payload
-    /// ([`NodeAgent::on_queue_drop`]). Agents tracking in-flight frames
-    /// must therefore keep a FIFO per node, not a single slot.
-    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<Self::Payload>>;
-
-    /// A timer set via [`Ctx::set_timer`] fired.
-    fn on_timer(&mut self, _node: NodeId, _token: u64, _ctx: &mut Ctx<'_>) {}
-
-    /// A frame previously handed out by [`NodeAgent::poll_tx`] was
-    /// dropped by `node`'s bounded transmit queue before reaching the
-    /// air (never called under [`queue::QueueSpec::Unbounded`]). The
-    /// payload is handed back so the agent can account the loss and
-    /// reclaim buffers; the default treats it like an unheard broadcast
-    /// and forwards the payload to [`NodeAgent::recycle`].
-    fn on_queue_drop(
-        &mut self,
-        _node: NodeId,
-        payload: Self::Payload,
-        _cause: queue::DropCause,
-        _ctx: &mut Ctx<'_>,
-    ) {
-        self.recycle(payload);
-    }
-
-    /// The simulator is done with a frame's payload: the broadcast left
-    /// the air and every receiver has been served. If the agent's payload
-    /// holds pooled buffers (refcounted packet data), this is the hook to
-    /// recycle them — the payload handed in is the frame's own copy, so
-    /// when no receiver kept a reference the agent gets the sole one back.
-    /// The default drops it.
-    fn recycle(&mut self, _payload: Self::Payload) {}
-
-    /// Whether this protocol implements the mid-run lifecycle hooks
-    /// ([`NodeAgent::add_flow`] / [`NodeAgent::end_flow`]), through which
-    /// [`Simulator::run_until`] applies the traffic scheduled with
-    /// [`Simulator::schedule_traffic`]. Harnesses must check this before
-    /// scheduling dynamic traffic.
-    fn supports_dynamic_flows(&self) -> bool {
-        false
-    }
-
-    /// Installs `desc` as a new flow while the simulation is running and
-    /// returns its index (flows are indexed in the order they were added,
-    /// counting the ones installed at construction). The engine kicks the
-    /// source's MAC afterwards.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`NodeAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn add_flow(&mut self, desc: &FlowDesc) -> usize {
-        let _ = desc;
-        panic!("this protocol does not support dynamic flow arrivals");
-    }
-
-    /// Halts the flow at `index`: the protocol must stop sourcing and
-    /// forwarding it and must no longer count it against
-    /// [`FlowAgent::flows_done`]. Progress measured so far stays readable.
-    ///
-    /// # Panics
-    ///
-    /// The default implementation panics: protocols opt in by overriding
-    /// this together with [`NodeAgent::supports_dynamic_flows`].
-    #[expect(
-        clippy::panic,
-        reason = "documented \"# Panics\" contract: protocols opt in to dynamic flows via supports_dynamic_flows"
-    )]
-    fn end_flow(&mut self, index: usize) {
-        let _ = index;
-        panic!("this protocol does not support dynamic flow departures");
-    }
 }
 
 #[cfg(test)]

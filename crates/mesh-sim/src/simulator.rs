@@ -29,11 +29,10 @@
 )]
 
 use crate::channel::{ChannelModel, ChannelSpec};
-use crate::erased::FlowDesc;
 use crate::medium::{Medium, Transmission};
 use crate::queue::{AimdConfig, AimdPacer, DropCause, QueueDiscipline, QueueSpec, QueueVerdict};
 use crate::stats::SimStats;
-use crate::{Frame, NodeAgent, OutFrame, SimConfig, Time, TxOutcome};
+use crate::{DynPayload, ErasedFlowAgent, FlowDesc, Frame, OutFrame, SimConfig, Time, TxOutcome};
 use mesh_topology::streams::QUEUE_STREAM;
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
@@ -61,15 +60,15 @@ enum EventKind {
 /// [`Simulator::schedule_traffic`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TrafficAction {
-    /// A new flow arrives: [`NodeAgent::add_flow`] is called and the
+    /// A new flow arrives: [`ErasedFlowAgent::add_flow`] is called and the
     /// source's MAC is kicked.
     Start(FlowDesc),
     /// The flow at this index (the order flows were added, counting the
-    /// ones installed at construction) departs: [`NodeAgent::end_flow`].
+    /// ones installed at construction) departs: [`ErasedFlowAgent::end_flow`].
     Stop(usize),
 }
 
-/// Callback context handed to [`NodeAgent`] methods.
+/// Callback context handed to [`ErasedFlowAgent`] methods.
 ///
 /// Mutations (timers, backlog kicks) are queued and applied by the engine
 /// when the callback returns.
@@ -91,7 +90,7 @@ impl<'a> Ctx<'a> {
         self.rng
     }
 
-    /// Schedules [`NodeAgent::on_timer`] for `node` after `delay` µs.
+    /// Schedules [`ErasedFlowAgent::on_timer`] for `node` after `delay` µs.
     pub fn set_timer(&mut self, node: NodeId, delay: Time, token: u64) {
         self.timers.push((node, delay, token));
     }
@@ -118,22 +117,22 @@ enum MacState {
 }
 
 /// An unacknowledged unicast retained for retransmission.
-struct CurrentTx<P> {
-    frame: OutFrame<P>,
+struct CurrentTx {
+    frame: OutFrame<DynPayload>,
     retries: u32,
     cw: u32,
 }
 
 /// What is on the air under a given transmission id.
-enum InFlight<P> {
-    Data { frame: Frame<P> },
+enum InFlight {
+    Data { frame: Frame<DynPayload> },
     MacAck { to: NodeId },
 }
 
 /// One node's bounded transmit queue: the engine-side frame FIFO plus
 /// the discipline mirroring it (see [`crate::queue`]).
-struct NodeQueue<P> {
-    frames: VecDeque<OutFrame<P>>,
+struct NodeQueue {
+    frames: VecDeque<OutFrame<DynPayload>>,
     disc: Box<dyn QueueDiscipline>,
 }
 
@@ -141,8 +140,8 @@ struct NodeQueue<P> {
 /// [`QueueSpec::Unbounded`] the engine keeps the historical
 /// one-poll-per-opportunity path and this struct is never built, which
 /// is what makes the default byte-identical to the pre-queue engine.
-struct QueueLayer<P> {
-    nodes: Vec<NodeQueue<P>>,
+struct QueueLayer {
+    nodes: Vec<NodeQueue>,
     /// AQM randomness, decorrelated from the main stream
     /// (`seed ^ QUEUE_STREAM`).
     rng: ChaCha8Rng,
@@ -155,9 +154,9 @@ struct QueueLayer<P> {
 }
 
 /// What the queue layer produced for a transmit opportunity.
-enum Pumped<P> {
+enum Pumped {
     /// Head-of-line frame, cleared to transmit.
-    Frame(OutFrame<P>),
+    Frame(OutFrame<DynPayload>),
     /// Nothing queued and the protocol has nothing to say: go idle.
     Empty,
     /// The head frame belongs to a paced flow whose gate is closed;
@@ -165,16 +164,14 @@ enum Pumped<P> {
     Deferred(Time),
 }
 
-/// The discrete-event simulator.
-///
-/// Generic over the protocol agent `A`; see the crate docs for the
-/// callback contract.
+/// The discrete-event simulator, driving one protocol agent (see
+/// [`ErasedFlowAgent`] for the callback contract).
 #[must_use]
-pub struct Simulator<A: NodeAgent> {
+pub struct Simulator {
     topo: Topology,
     cfg: SimConfig,
     /// The protocol under simulation.
-    pub agent: A,
+    pub agent: Box<dyn ErasedFlowAgent>,
     now: Time,
     seq: u64,
     queue: BinaryHeap<Reverse<(Time, u64, EventKind)>>,
@@ -182,10 +179,10 @@ pub struct Simulator<A: NodeAgent> {
     medium: Medium,
     channel: Box<dyn ChannelModel>,
     states: Vec<MacState>,
-    current: Vec<Option<CurrentTx<A::Payload>>>,
+    current: Vec<Option<CurrentTx>>,
     /// Generation counters for ACK timeouts.
     ack_seq: Vec<u64>,
-    in_flight: std::collections::BTreeMap<u64, InFlight<A::Payload>>,
+    in_flight: BTreeMap<u64, InFlight>,
     next_tx_id: u64,
     /// Pending dynamic-workload actions, kept sorted descending by
     /// `(time, seq)` so the earliest is popped from the back.
@@ -205,15 +202,15 @@ pub struct Simulator<A: NodeAgent> {
     /// Scratch for the per-transmission receiver set.
     scratch_receivers: Vec<NodeId>,
     /// Bounded per-node transmit queues; `None` = unbounded (legacy path).
-    queues: Option<QueueLayer<A::Payload>>,
+    queues: Option<QueueLayer>,
     /// Counters accumulated over the run.
     pub stats: SimStats,
 }
 
-impl<A: NodeAgent> Simulator<A> {
+impl Simulator {
     /// Builds a simulator over `topo` for `agent`, deterministic in `seed`,
     /// with the paper's static channel (the topology's delivery matrix).
-    pub fn new(topo: Topology, cfg: SimConfig, agent: A, seed: u64) -> Self {
+    pub fn new(topo: Topology, cfg: SimConfig, agent: Box<dyn ErasedFlowAgent>, seed: u64) -> Self {
         Simulator::with_channel(topo, cfg, &ChannelSpec::Static, agent, seed)
     }
 
@@ -229,7 +226,7 @@ impl<A: NodeAgent> Simulator<A> {
         topo: Topology,
         cfg: SimConfig,
         spec: &ChannelSpec,
-        agent: A,
+        agent: Box<dyn ErasedFlowAgent>,
         seed: u64,
     ) -> Self {
         let channel = spec.build(&topo, seed);
@@ -251,7 +248,7 @@ impl<A: NodeAgent> Simulator<A> {
         cfg: SimConfig,
         spec: &ChannelSpec,
         queue: &QueueSpec,
-        agent: A,
+        agent: Box<dyn ErasedFlowAgent>,
         seed: u64,
     ) -> Self {
         let mut sim = Simulator::with_channel(topo, cfg, spec, agent, seed);
@@ -317,13 +314,12 @@ impl<A: NodeAgent> Simulator<A> {
         layer.auto_pace = Some(cfg);
     }
 
-    /// Builds a simulator over a caller-constructed channel model — the
-    /// escape hatch for loss processes [`ChannelSpec`] cannot express.
-    pub fn with_channel_model(
+    /// Builds a simulator over an already-built channel model.
+    fn with_channel_model(
         topo: Topology,
         cfg: SimConfig,
         channel: Box<dyn ChannelModel>,
-        agent: A,
+        agent: Box<dyn ErasedFlowAgent>,
         seed: u64,
     ) -> Self {
         let n = topo.n();
@@ -341,7 +337,7 @@ impl<A: NodeAgent> Simulator<A> {
             states: (0..n).map(|_| MacState::Idle).collect(),
             current: (0..n).map(|_| None).collect(),
             ack_seq: vec![0; n],
-            in_flight: std::collections::BTreeMap::new(),
+            in_flight: BTreeMap::new(),
             next_tx_id: 0,
             traffic: Vec::new(),
             traffic_seq: 0,
@@ -366,24 +362,9 @@ impl<A: NodeAgent> Simulator<A> {
         // insertion — schedules are built in bulk before the run starts.
     }
 
-    /// The channel model driving this run's losses.
-    pub fn channel(&self) -> &dyn ChannelModel {
-        self.channel.as_ref()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The topology being simulated.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The MAC/PHY configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
     }
 
     /// Kick a node's MAC from outside the event loop (e.g. flow start).
@@ -425,7 +406,11 @@ impl<A: NodeAgent> Simulator<A> {
     /// arrival. With no traffic scheduled the loop pays one empty check
     /// per event, and static workloads stay byte-identical to the
     /// pre-traffic-model engine.
-    pub fn run_until(&mut self, deadline: Time, mut stop: impl FnMut(&A) -> bool) -> Time {
+    pub fn run_until(
+        &mut self,
+        deadline: Time,
+        mut stop: impl FnMut(&Box<dyn ErasedFlowAgent>) -> bool,
+    ) -> Time {
         if !self.traffic.is_empty() {
             // Descending (time, seq): the earliest action sits at the back.
             self.traffic.sort_by_key(|&(t, s, _)| Reverse((t, s)));
@@ -522,17 +507,24 @@ impl<A: NodeAgent> Simulator<A> {
             EventKind::AckTimeout { node, seq } => self.on_ack_timeout(node, seq),
             EventKind::StartMacAck { node, data_id } => self.on_start_mac_ack(node, data_id),
             EventKind::Timer { node, token } => {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.rng,
-                    timers: std::mem::take(&mut self.scratch_timers),
-                    kicks: std::mem::take(&mut self.scratch_kicks),
-                };
-                self.agent.on_timer(node, token, &mut ctx);
-                let Ctx { timers, kicks, .. } = ctx;
-                self.apply_ctx(timers, kicks);
+                self.call_agent(|a, ctx| a.on_timer(node, token, ctx))
             }
         }
+    }
+
+    /// Runs one agent callback with a fresh [`Ctx`], then applies the
+    /// timers and kicks it queued.
+    fn call_agent<R>(&mut self, f: impl FnOnce(&mut dyn ErasedFlowAgent, &mut Ctx<'_>) -> R) -> R {
+        let mut ctx = Ctx {
+            now: self.now,
+            rng: &mut self.rng,
+            timers: std::mem::take(&mut self.scratch_timers),
+            kicks: std::mem::take(&mut self.scratch_kicks),
+        };
+        let out = f(self.agent.as_mut(), &mut ctx);
+        let Ctx { timers, kicks, .. } = ctx;
+        self.apply_ctx(timers, kicks);
+        out
     }
 
     /// Applies queued callback mutations, then parks the (now empty)
@@ -581,16 +573,7 @@ impl<A: NodeAgent> Simulator<A> {
                     }
                 }
             } else {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.rng,
-                    timers: std::mem::take(&mut self.scratch_timers),
-                    kicks: std::mem::take(&mut self.scratch_kicks),
-                };
-                let polled = self.agent.poll_tx(node, &mut ctx);
-                let Ctx { timers, kicks, .. } = ctx;
-                self.apply_ctx(timers, kicks);
-                polled
+                self.call_agent(|a, ctx| a.poll_tx(node, ctx))
             };
             match polled {
                 Some(frame) => {
@@ -643,7 +626,7 @@ impl<A: NodeAgent> Simulator<A> {
     /// at a drop is what bounds the loop: a dropped arrival is the
     /// protocol's loss signal for this opportunity, and some sources
     /// (MORE's coder) can otherwise produce frames indefinitely.
-    fn pump_queue(&mut self, node: NodeId) -> Pumped<A::Payload> {
+    fn pump_queue(&mut self, node: NodeId) -> Pumped {
         let Some(mut layer) = self.queues.take() else {
             return Pumped::Empty; // caller checked `queues.is_some()`
         };
@@ -772,15 +755,7 @@ impl<A: NodeAgent> Simulator<A> {
                 // receiver's callback, exactly as they always have.
                 for &r in &receivers {
                     self.stats.rx_frames[r.0] += 1;
-                    let mut ctx = Ctx {
-                        now: self.now,
-                        rng: &mut self.rng,
-                        timers: std::mem::take(&mut self.scratch_timers),
-                        kicks: std::mem::take(&mut self.scratch_kicks),
-                    };
-                    self.agent.on_receive(r, &frame, &mut ctx);
-                    let Ctx { timers, kicks, .. } = ctx;
-                    self.apply_ctx(timers, kicks);
+                    self.call_agent(|a, ctx| a.on_receive(r, &frame, ctx));
                 }
                 match frame.dst {
                     None => {
@@ -890,15 +865,7 @@ impl<A: NodeAgent> Simulator<A> {
 
     /// Reports an outcome and re-arms the MAC for the next frame.
     fn finish_tx(&mut self, node: NodeId, outcome: TxOutcome) {
-        let mut ctx = Ctx {
-            now: self.now,
-            rng: &mut self.rng,
-            timers: std::mem::take(&mut self.scratch_timers),
-            kicks: std::mem::take(&mut self.scratch_kicks),
-        };
-        self.agent.on_tx_done(node, outcome, &mut ctx);
-        let Ctx { timers, kicks, .. } = ctx;
-        self.apply_ctx(timers, kicks);
+        self.call_agent(|a, ctx| a.on_tx_done(node, outcome, ctx));
         self.states[node.0] = MacState::Waiting;
         let d = self.backoff_delay(self.cfg.cw_min);
         self.push(self.now + d, EventKind::TryTx { node });

@@ -6,8 +6,21 @@
     reason = "test support code outside #[test] fns: a panic is the test's failure report"
 )]
 
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
+use mesh_sim::{
+    Ctx, DynPayload, ErasedFlowAgent, FlowProgressView, Frame, OutFrame, SimConfig, Simulator,
+    Time, TxOutcome, SEC,
+};
 use mesh_topology::{generate, NodeId};
+use std::any::Any;
+use std::rc::Rc;
+
+/// The simulator's agent as the test's concrete type.
+fn concrete<T: 'static>(sim: &Simulator) -> &T {
+    match sim.agent.as_any().downcast_ref() {
+        Some(a) => a,
+        None => panic!("the simulator runs a different agent type"),
+    }
+}
 
 /// Broadcasts `remaining` frames from node 0 and counts receptions
 /// anywhere.
@@ -16,10 +29,8 @@ struct Broadcaster {
     received: Vec<u32>,
 }
 
-impl NodeAgent for Broadcaster {
-    type Payload = u32;
-
-    fn on_receive(&mut self, node: NodeId, _f: &Frame<u32>, _ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for Broadcaster {
+    fn on_receive(&mut self, node: NodeId, _f: &Frame<DynPayload>, _ctx: &mut Ctx<'_>) {
         self.received[node.0] += 1;
     }
 
@@ -27,7 +38,7 @@ impl NodeAgent for Broadcaster {
         assert_eq!(outcome, TxOutcome::Broadcast);
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<u32>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         if node != NodeId(0) || self.remaining == 0 {
             return None;
         }
@@ -37,8 +48,24 @@ impl NodeAgent for Broadcaster {
             bytes: 1500,
             bitrate: None,
             flow: None,
-            payload: self.remaining,
+            payload: Rc::new(self.remaining),
         })
+    }
+
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -49,12 +76,12 @@ fn broadcast_delivery_tracks_link_probability() {
         remaining: 2000,
         received: vec![0; 2],
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 42);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 42);
     sim.kick(NodeId(0));
     // Run to the deadline regardless of progress (never stop early).
-    sim.run_until(120 * SEC, |_: &Broadcaster| false);
+    sim.run_until(120 * SEC, |_| false);
     assert_eq!(sim.stats.tx_frames[0], 2000, "all frames sent");
-    let rate = sim.agent.received[1] as f64 / 2000.0;
+    let rate = concrete::<Broadcaster>(&sim).received[1] as f64 / 2000.0;
     assert!((rate - 0.7).abs() < 0.04, "delivery rate {rate}");
     assert_eq!(sim.stats.unicast_failures, 0);
 }
@@ -68,7 +95,7 @@ fn broadcasts_are_paced_by_airtime_and_backoff() {
         remaining: u32::MAX,
         received: vec![0; 2],
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 7);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 7);
     sim.kick(NodeId(0));
     sim.run_until(SEC, |_| false);
     let sent = sim.stats.tx_frames[0];
@@ -87,10 +114,8 @@ struct Unicaster {
     delivered: u32,
 }
 
-impl NodeAgent for Unicaster {
-    type Payload = ();
-
-    fn on_receive(&mut self, node: NodeId, f: &Frame<()>, _ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for Unicaster {
+    fn on_receive(&mut self, node: NodeId, f: &Frame<DynPayload>, _ctx: &mut Ctx<'_>) {
         if f.dst == Some(node) {
             self.delivered += 1;
         }
@@ -104,7 +129,7 @@ impl NodeAgent for Unicaster {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         if node != NodeId(0) || self.remaining == 0 {
             return None;
         }
@@ -114,9 +139,32 @@ impl NodeAgent for Unicaster {
             bytes: 1500,
             bitrate: None,
             flow: None,
-            payload: (),
+            payload: Rc::new(()),
         })
     }
+
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Stop predicate: the test's unicaster resolved `n` sends.
+fn resolved(a: &dyn ErasedFlowAgent, n: u32) -> bool {
+    a.as_any()
+        .downcast_ref::<Unicaster>()
+        .is_some_and(|u| u.acked + u.failed == n)
 }
 
 #[test]
@@ -129,10 +177,10 @@ fn unicast_retransmission_masks_loss() {
         failed: 0,
         delivered: 0,
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 3);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 3);
     sim.kick(NodeId(0));
-    sim.run_until(300 * SEC, |a| a.acked + a.failed == 500);
-    let a = &sim.agent;
+    sim.run_until(300 * SEC, |a| resolved(a.as_ref(), 500));
+    let a = concrete::<Unicaster>(&sim);
     assert_eq!(a.acked + a.failed, 500, "every send resolved");
     // An attempt succeeds when data AND MAC-ACK both get through:
     // 0.6 × 0.6 = 0.36; P(all 8 attempts fail) = 0.64⁸ ≈ 2.8%.
@@ -156,15 +204,15 @@ fn unicast_on_dead_link_fails_cleanly() {
         failed: 0,
         delivered: 0,
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 5);
     sim.kick(NodeId(0));
-    sim.run_until(600 * SEC, |a| a.acked + a.failed == 20);
+    sim.run_until(600 * SEC, |a| resolved(a.as_ref(), 20));
+    let failed = concrete::<Unicaster>(&sim).failed;
     assert!(
-        sim.agent.failed > 10,
-        "a 2% link should exhaust retries most of the time (failed {})",
-        sim.agent.failed
+        failed > 10,
+        "a 2% link should exhaust retries most of the time (failed {failed})"
     );
-    assert_eq!(sim.stats.unicast_failures, sim.agent.failed as u64);
+    assert_eq!(sim.stats.unicast_failures, failed as u64);
 }
 
 /// Two independent saturated broadcasters, used for spatial-reuse checks.
@@ -172,24 +220,38 @@ struct TwoSenders {
     senders: [NodeId; 2],
 }
 
-impl NodeAgent for TwoSenders {
-    type Payload = ();
-
-    fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+impl ErasedFlowAgent for TwoSenders {
+    fn on_receive(&mut self, _n: NodeId, _f: &Frame<DynPayload>, _c: &mut Ctx<'_>) {}
     fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _c: &mut Ctx<'_>) {}
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         if self.senders.contains(&node) {
             Some(OutFrame {
                 dst: None,
                 bytes: 1500,
                 bitrate: None,
                 flow: None,
-                payload: (),
+                payload: Rc::new(()),
             })
         } else {
             None
         }
+    }
+
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -202,7 +264,7 @@ fn distant_nodes_transmit_concurrently_neighbors_do_not() {
     let far = TwoSenders {
         senders: [NodeId(0), NodeId(4)],
     };
-    let mut sim_far = Simulator::new(topo.clone(), SimConfig::default(), far, 11);
+    let mut sim_far = Simulator::new(topo.clone(), SimConfig::default(), Box::new(far), 11);
     sim_far.kick(NodeId(0));
     sim_far.kick(NodeId(4));
     sim_far.run_until(2 * SEC, |_| false);
@@ -211,7 +273,7 @@ fn distant_nodes_transmit_concurrently_neighbors_do_not() {
     let near = TwoSenders {
         senders: [NodeId(0), NodeId(1)],
     };
-    let mut sim_near = Simulator::new(topo, SimConfig::default(), near, 11);
+    let mut sim_near = Simulator::new(topo, SimConfig::default(), Box::new(near), 11);
     sim_near.kick(NodeId(0));
     sim_near.kick(NodeId(1));
     sim_near.run_until(2 * SEC, |_| false);
@@ -239,11 +301,10 @@ struct TimerAgent {
     fired: Vec<(NodeId, u64, u64)>,
 }
 
-impl NodeAgent for TimerAgent {
-    type Payload = ();
-    fn on_receive(&mut self, _n: NodeId, _f: &Frame<()>, _c: &mut Ctx<'_>) {}
+impl ErasedFlowAgent for TimerAgent {
+    fn on_receive(&mut self, _n: NodeId, _f: &Frame<DynPayload>, _c: &mut Ctx<'_>) {}
     fn on_tx_done(&mut self, _n: NodeId, _o: TxOutcome, _c: &mut Ctx<'_>) {}
-    fn poll_tx(&mut self, _n: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<()>> {
+    fn poll_tx(&mut self, _n: NodeId, _c: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         None
     }
     fn on_timer(&mut self, node: NodeId, token: u64, ctx: &mut Ctx<'_>) {
@@ -252,17 +313,33 @@ impl NodeAgent for TimerAgent {
             ctx.set_timer(node, 100, token + 1);
         }
     }
+
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 #[test]
 fn timers_chain() {
     let topo = generate::line(1, 1.0, 0.0, 20.0);
     let agent = TimerAgent { fired: Vec::new() };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 1);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 1);
     sim.set_timer(NodeId(1), 50, 1);
     sim.run_until(SEC, |_| false);
     assert_eq!(
-        sim.agent.fired,
+        concrete::<TimerAgent>(&sim).fired,
         vec![(NodeId(1), 1, 50), (NodeId(1), 2, 150), (NodeId(1), 3, 250)]
     );
 }
@@ -275,10 +352,13 @@ fn runs_are_deterministic_in_seed() {
             remaining: 300,
             received: vec![0; 20],
         };
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), seed);
         sim.kick(NodeId(0));
         sim.run_until(30 * SEC, |_| false);
-        (sim.agent.received.clone(), sim.stats.total_rx())
+        (
+            concrete::<Broadcaster>(&sim).received.clone(),
+            sim.stats.total_rx(),
+        )
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
@@ -291,7 +371,7 @@ fn deadline_stops_the_clock() {
         remaining: u32::MAX,
         received: vec![0; 2],
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 2);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 2);
     sim.kick(NodeId(0));
     let end = sim.run_until(SEC / 2, |_| false);
     assert_eq!(end, SEC / 2);
@@ -308,10 +388,101 @@ fn stop_predicate_halts_early() {
         remaining: u32::MAX,
         received: vec![0; 2],
     };
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 2);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 2);
     sim.kick(NodeId(0));
-    sim.run_until(10 * SEC, |a| a.received[1] >= 10);
-    assert!(sim.agent.received[1] >= 10);
-    assert!(sim.agent.received[1] < 20, "should stop promptly");
+    sim.run_until(10 * SEC, |a| {
+        a.as_any()
+            .downcast_ref::<Broadcaster>()
+            .is_some_and(|b| b.received[1] >= 10)
+    });
+    let received = concrete::<Broadcaster>(&sim).received[1];
+    assert!(received >= 10);
+    assert!(received < 20, "should stop promptly");
     assert!(sim.now() < 10 * SEC);
+}
+
+/// A tiny broadcast-flood protocol: node 0 broadcasts `remaining` frames
+/// carrying the payload 7, and node 2 of a three-node line counts them.
+struct Flood {
+    remaining: u32,
+    delivered: usize,
+    done_at: Option<Time>,
+}
+
+impl ErasedFlowAgent for Flood {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, _ctx: &mut Ctx<'_>) {
+        if node == NodeId(2) {
+            self.delivered += 1;
+            assert_eq!(
+                frame.payload.downcast_ref::<u32>(),
+                Some(&7),
+                "payload survived the round-trip"
+            );
+        }
+    }
+
+    fn on_tx_done(&mut self, _node: NodeId, _outcome: TxOutcome, ctx: &mut Ctx<'_>) {
+        if self.remaining > 0 {
+            ctx.mark_backlogged(NodeId(0));
+        } else if self.done_at.is_none() {
+            self.done_at = Some(ctx.now());
+        }
+    }
+
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
+        if node != NodeId(0) || self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        Some(OutFrame {
+            dst: None,
+            bytes: 200,
+            bitrate: None,
+            flow: None,
+            payload: Rc::new(7u32),
+        })
+    }
+
+    fn flows_done(&self) -> bool {
+        self.remaining == 0
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView {
+            delivered: self.delivered,
+            completed_at: self.done_at,
+            done: self.flows_done(),
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn erased_agent_runs_in_the_simulator() {
+    let topo = generate::line(2, 0.95, 0.4, 25.0);
+    let agent = Flood {
+        remaining: 20,
+        delivered: 0,
+        done_at: None,
+    };
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 1);
+    sim.kick(NodeId(0));
+    sim.run_until(30 * SEC, |a| a.flows_done());
+    let p = sim.agent.flow_progress(0);
+    assert!(p.done);
+    assert!(p.delivered > 0, "the far node should hear something");
+    // Downcast recovers the concrete type.
+    let concrete = sim
+        .agent
+        .as_any()
+        .downcast_ref::<Flood>()
+        .expect("is Flood");
+    assert_eq!(concrete.remaining, 0);
 }

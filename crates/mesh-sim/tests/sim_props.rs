@@ -3,9 +3,14 @@
 //! never invents receptions, time never runs backwards, and the MAC
 //! resolves every unicast exactly once.
 
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, SimConfig, Simulator, TxOutcome, SEC};
+use mesh_sim::{
+    Ctx, DynPayload, ErasedFlowAgent, FlowProgressView, Frame, OutFrame, SimConfig, Simulator,
+    TxOutcome, SEC,
+};
 use mesh_topology::{generate, NodeId};
 use proptest::prelude::*;
+use std::any::Any;
+use std::rc::Rc;
 
 /// An agent where a configurable set of saturated broadcasters and one
 /// unicaster exercise the MAC, recording invariants as it goes.
@@ -17,10 +22,8 @@ struct Mixed {
     last_now: u64,
 }
 
-impl NodeAgent for Mixed {
-    type Payload = u32;
-
-    fn on_receive(&mut self, _node: NodeId, _f: &Frame<u32>, ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for Mixed {
+    fn on_receive(&mut self, _node: NodeId, _f: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         assert!(now >= self.last_now, "time ran backwards");
         self.last_now = now;
@@ -46,7 +49,7 @@ impl NodeAgent for Mixed {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<u32>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         if let Some((s, d, ref mut left)) = self.unicaster {
             if node == s && *left > 0 {
                 *left -= 1;
@@ -55,7 +58,7 @@ impl NodeAgent for Mixed {
                     bytes: 400,
                     bitrate: None,
                     flow: None,
-                    payload: 0,
+                    payload: Rc::new(0u32),
                 });
             }
         }
@@ -65,11 +68,32 @@ impl NodeAgent for Mixed {
                 bytes: 800,
                 bitrate: None,
                 flow: None,
-                payload: 1,
+                payload: Rc::new(1u32),
             });
         }
         None
     }
+
+    fn flows_done(&self) -> bool {
+        false
+    }
+
+    fn flow_progress(&self, _index: usize) -> FlowProgressView {
+        FlowProgressView::default()
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Unicasts the simulator's `Mixed` agent has resolved so far.
+fn resolved(agent: &dyn ErasedFlowAgent) -> Option<u32> {
+    agent.as_any().downcast_ref::<Mixed>().map(|m| m.resolved)
 }
 
 proptest! {
@@ -100,7 +124,7 @@ proptest! {
             receive_times: Vec::new(),
             last_now: 0,
         };
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, sim_seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), sim_seed);
         for &b in &broadcasters {
             sim.kick(b);
         }
@@ -117,10 +141,10 @@ proptest! {
             // Every injected unicast resolves exactly once (acked or
             // failed) — none lost, none double-reported. (Some may still
             // be in flight at the deadline.)
-            prop_assert!(sim.agent.resolved <= unicasts);
+            prop_assert!(resolved(sim.agent.as_ref()).is_some_and(|r| r <= unicasts));
             // Run to quiescence: everything resolves.
-            sim.run_until(end + 30 * SEC, |a: &Mixed| a.resolved == unicasts);
-            prop_assert_eq!(sim.agent.resolved, unicasts, "unicasts unresolved");
+            sim.run_until(end + 30 * SEC, |a| resolved(a.as_ref()) == Some(unicasts));
+            prop_assert_eq!(resolved(sim.agent.as_ref()), Some(unicasts), "unicasts unresolved");
         }
         // Airtime a single radio used cannot exceed the elapsed clock.
         for node_air in &sim.stats.airtime {
@@ -141,11 +165,12 @@ proptest! {
                 receive_times: Vec::new(),
                 last_now: 0,
             };
-            let mut sim = Simulator::new(topo, SimConfig::default(), agent, sim_seed);
+            let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), sim_seed);
             sim.kick(NodeId(0));
             sim.kick(NodeId(1));
             sim.run_until(SEC, |_| false);
-            (sim.stats.total_tx(), sim.stats.total_rx(), sim.agent.receive_times.clone())
+            let times = sim.agent.as_any().downcast_ref::<Mixed>().map(|m| m.receive_times.clone());
+            (sim.stats.total_tx(), sim.stats.total_rx(), times)
         };
         prop_assert_eq!(run(), run());
     }
@@ -169,7 +194,7 @@ proptest! {
             receive_times: Vec::new(),
             last_now: 0,
         };
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, sim_seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), sim_seed);
         sim.kick(NodeId(0));
         sim.run_until(SEC, |_| false);
         prop_assert_eq!(sim.stats.rx_frames[2], 0, "isolated node received");

@@ -9,15 +9,16 @@
 )]
 
 use crate::flow::{BatchState, FlowId, FlowProgress, MoreFlow, NodeFlowState};
-use crate::header::MorePayload;
+use crate::header::{MorePayload, PayloadSlots};
 use crate::{native_byte, ForwarderMetric, MoreConfig};
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan};
 use mesh_sim::queue::DropCause;
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, TxOutcome};
+use mesh_sim::{take_payload, Ctx, DynPayload, ErasedFlowAgent, Frame, OutFrame, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rlnc::{pool, CodedPacket, Decoder, ForwarderBuffer, InnovationTracker, SourceEncoder};
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// Size of a batch-ACK frame on the air (type + ids + MAC framing).
@@ -37,6 +38,8 @@ pub struct MoreAgent {
     /// bounded transmit queue may poll several frames before the first
     /// outcome arrives; outcomes come back in poll order.
     ack_outstanding: Vec<VecDeque<(usize, u32)>>,
+    /// Reused `Rc` allocations for outgoing payloads.
+    slots: PayloadSlots,
 }
 
 impl MoreAgent {
@@ -49,12 +52,8 @@ impl MoreAgent {
             flows: Vec::new(),
             rr: vec![0; n],
             ack_outstanding: vec![VecDeque::new(); n],
+            slots: PayloadSlots::default(),
         }
-    }
-
-    /// Protocol parameters.
-    pub fn config(&self) -> &MoreConfig {
-        &self.cfg
     }
 
     /// Registers a `src → dst` transfer of `total_packets` native packets.
@@ -125,11 +124,6 @@ impl MoreAgent {
     /// Progress of flow `index` (as returned by [`Self::add_flow`]).
     pub fn progress(&self, index: usize) -> &FlowProgress {
         &self.flows[index].progress
-    }
-
-    /// All flows done (every batch ACKed at its source)?
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.is_done(&self.cfg))
     }
 
     /// The flow list (read-only, for harness inspection).
@@ -237,11 +231,12 @@ impl MoreAgent {
     }
 }
 
-impl NodeAgent for MoreAgent {
-    type Payload = MorePayload;
-
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<MorePayload>, ctx: &mut Ctx<'_>) {
-        match &frame.payload {
+impl ErasedFlowAgent for MoreAgent {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        let Some(payload) = frame.payload.downcast_ref::<MorePayload>() else {
+            return;
+        };
+        match payload {
             MorePayload::Data {
                 flow,
                 batch,
@@ -362,7 +357,7 @@ impl NodeAgent for MoreAgent {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<MorePayload>> {
+    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         // 1. Batch ACKs first: "ACKs are given priority over data packets
         //    at every node" (§3.1.3).
         for fi in 0..self.flows.len() {
@@ -389,11 +384,11 @@ impl NodeAgent for MoreAgent {
                     bytes: ACK_BYTES,
                     bitrate: None,
                     flow: Some(id),
-                    payload: MorePayload::Ack {
+                    payload: self.slots.wrap(MorePayload::Ack {
                         flow: id,
                         batch,
                         origin,
-                    },
+                    }),
                 });
             }
         }
@@ -439,12 +434,12 @@ impl NodeAgent for MoreAgent {
                     bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
                     bitrate: None,
                     flow: Some(f.id),
-                    payload: MorePayload::Data {
+                    payload: self.slots.wrap(MorePayload::Data {
                         flow: f.id,
                         batch,
                         packet,
                         sender_rank: rank,
-                    },
+                    }),
                 });
             }
             if node == f.dst {
@@ -472,12 +467,12 @@ impl NodeAgent for MoreAgent {
                 bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
                 bitrate: None,
                 flow: Some(f.id),
-                payload: MorePayload::Data {
+                payload: self.slots.wrap(MorePayload::Data {
                     flow: f.id,
                     batch,
                     packet,
                     sender_rank: rank,
-                },
+                }),
             });
         }
         None
@@ -486,15 +481,15 @@ impl NodeAgent for MoreAgent {
     fn on_queue_drop(
         &mut self,
         node: NodeId,
-        payload: MorePayload,
+        payload: DynPayload,
         _cause: DropCause,
         ctx: &mut Ctx<'_>,
     ) {
-        match payload {
+        match take_payload(payload) {
             // A dropped batch ACK must not be lost: retract the
             // outstanding entry and put the batch back at the head of the
             // pending queue (§3.2.2 reliable delivery).
-            MorePayload::Ack { flow, batch, .. } => {
+            Some(MorePayload::Ack { flow, batch, .. }) => {
                 if let Some(fi) = self.flow_index(flow) {
                     let out = &mut self.ack_outstanding[node.0];
                     if let Some(pos) = out.iter().rposition(|&(i, b)| i == fi && b == batch) {
@@ -508,16 +503,25 @@ impl NodeAgent for MoreAgent {
             }
             // A dropped coded packet is just an unheard broadcast; return
             // its flat buffer to the pool.
-            MorePayload::Data { packet, .. } => pool::release(packet.into_data()),
+            Some(MorePayload::Data { packet, .. }) => pool::release(packet.into_data()),
+            None => {}
         }
     }
 
-    fn recycle(&mut self, payload: MorePayload) {
-        // The simulator hands back the last reference to a delivered
-        // frame's payload; returning the flat buffer to the pool closes
-        // the zero-copy loop (next encode reuses it).
-        if let MorePayload::Data { packet, .. } = payload {
-            pool::release(packet.into_data());
+    fn recycle(&mut self, payload: DynPayload) {
+        self.slots.recycle(payload);
+    }
+
+    fn flows_done(&self) -> bool {
+        self.flows.iter().all(|f| f.is_done(&self.cfg))
+    }
+
+    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
+        let p = self.progress(index);
+        mesh_sim::FlowProgressView {
+            delivered: p.delivered_packets,
+            completed_at: p.completed_at,
+            done: p.done,
         }
     }
 
@@ -538,20 +542,13 @@ impl NodeAgent for MoreAgent {
     fn end_flow(&mut self, index: usize) {
         self.halt_flow(index);
     }
-}
 
-impl mesh_sim::FlowAgent for MoreAgent {
-    fn flows_done(&self) -> bool {
-        self.all_done()
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 
-    fn flow_progress(&self, index: usize) -> mesh_sim::FlowProgressView {
-        let p = self.progress(index);
-        mesh_sim::FlowProgressView {
-            delivered: p.delivered_packets,
-            completed_at: p.completed_at,
-            done: p.done,
-        }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -568,32 +565,37 @@ mod test {
         dst: usize,
         packets: usize,
         seed: u64,
-    ) -> (Simulator<MoreAgent>, usize) {
+    ) -> (Simulator, usize) {
         let mut agent = MoreAgent::new(topo.clone(), cfg);
         let fi = agent.add_flow(1, NodeId(src), NodeId(dst), packets);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), seed);
         sim.kick(NodeId(src));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+        sim.run_until(600 * SEC, |a| a.flows_done());
         (sim, fi)
+    }
+
+    /// The concrete agent behind the simulator, for MORE-specific stats.
+    fn more(sim: &Simulator) -> &MoreAgent {
+        sim.agent.as_any().downcast_ref().expect("a MoreAgent")
     }
 
     #[test]
     fn one_hop_transfer_completes() {
         let topo = generate::line(1, 0.8, 0.0, 20.0);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, 1, 64, 1);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "flow did not finish");
-        assert_eq!(p.delivered_packets, 64);
-        assert_eq!(p.decoded_batches, 2);
+        assert_eq!(p.delivered, 64);
+        assert_eq!(more(&sim).progress(fi).decoded_batches, 2);
     }
 
     #[test]
     fn relay_chain_transfer_completes() {
         let topo = generate::line(3, 0.7, 0.3, 25.0);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 0, 3, 32, 2);
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
-        assert_eq!(p.delivered_packets, 32);
+        assert_eq!(p.delivered, 32);
     }
 
     #[test]
@@ -608,8 +610,8 @@ mod test {
             ..MoreConfig::default()
         };
         let (sim, fi) = run_flow(topo, cfg, 0, 2, 24, 3);
-        assert!(sim.agent.progress(fi).done);
-        assert_eq!(sim.agent.progress(fi).delivered_packets, 24);
+        assert!(sim.agent.flow_progress(fi).done);
+        assert_eq!(sim.agent.flow_progress(fi).delivered, 24);
     }
 
     #[test]
@@ -620,19 +622,19 @@ mod test {
             ..MoreConfig::default()
         };
         let (sim, fi) = run_flow(topo, cfg, 0, 1, 40, 4); // 32 + 8
-        let p = sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done);
-        assert_eq!(p.delivered_packets, 40);
-        assert_eq!(p.decoded_batches, 2);
+        assert_eq!(p.delivered, 40);
+        assert_eq!(more(&sim).progress(fi).decoded_batches, 2);
     }
 
     #[test]
     fn testbed_transfer_and_stopping_rule() {
         let topo = generate::testbed(1);
         let (mut sim, fi) = run_flow(topo, MoreConfig::default(), 0, 19, 64, 5);
-        let p = *sim.agent.progress(fi);
+        let p = sim.agent.flow_progress(fi);
         assert!(p.done, "testbed flow stuck");
-        assert_eq!(p.delivered_packets, 64);
+        assert_eq!(p.delivered, 64);
         // Stopping rule: after completion, (almost) no more data frames.
         let tx_before = sim.stats.total_tx();
         let t = sim.now();
@@ -648,7 +650,7 @@ mod test {
     fn spurious_transmissions_are_bounded() {
         let topo = generate::testbed(2);
         let (sim, fi) = run_flow(topo, MoreConfig::default(), 3, 16, 96, 6);
-        let p = sim.agent.progress(fi);
+        let p = more(&sim).progress(fi);
         assert!(p.done);
         // A few spurious sends happen between batch completion and the ACK
         // reaching everyone; they must stay a small fraction of the total.
@@ -666,14 +668,14 @@ mod test {
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
         let f1 = agent.add_flow(1, NodeId(0), NodeId(19), 32);
         let f2 = agent.add_flow(2, NodeId(5), NodeId(12), 32);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, 7);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 7);
         sim.kick(NodeId(0));
         sim.kick(NodeId(5));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(f1).done, "flow 1 stuck");
-        assert!(sim.agent.progress(f2).done, "flow 2 stuck");
-        assert_eq!(sim.agent.progress(f1).delivered_packets, 32);
-        assert_eq!(sim.agent.progress(f2).delivered_packets, 32);
+        sim.run_until(600 * SEC, |a| a.flows_done());
+        assert!(sim.agent.flow_progress(f1).done, "flow 1 stuck");
+        assert!(sim.agent.flow_progress(f2).done, "flow 2 stuck");
+        assert_eq!(sim.agent.flow_progress(f1).delivered, 32);
+        assert_eq!(sim.agent.flow_progress(f2).delivered, 32);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! Forwarder node ids are compressed to one byte (a hash of the IP in the
 //! real system, §4.6c) and TX credits to 1/256-granularity fixed point.
 
+use mesh_sim::DynPayload;
 use mesh_topology::NodeId;
-use rlnc::CodedPacket;
+use rlnc::{pool, CodedPacket};
+use std::rc::Rc;
 
 /// Packet type discriminator (Fig 3-1: "the packet type identifies batch
 /// ACKs from data packets").
@@ -32,9 +34,9 @@ pub enum MorePayload {
         flow: u32,
         batch: u32,
         /// The coded packet: code vector and payload in one flat,
-        /// refcounted buffer, so cloning the frame for each simulated
-        /// receiver of a broadcast is O(1). The payload region is empty
-        /// when payload tracking is off.
+        /// refcounted buffer, so a receiver storing what it heard clones
+        /// it in O(1). The payload region is empty when payload tracking
+        /// is off.
         packet: CodedPacket,
         /// Position of the sender in the flow's forwarder order (smaller =
         /// closer to the destination); receivers use it to decide whether
@@ -63,6 +65,51 @@ impl MorePayload {
         match self {
             MorePayload::Data { batch, .. } | MorePayload::Ack { batch, .. } => *batch,
         }
+    }
+}
+
+/// Spare `Rc` allocations for the MORE agents' outgoing frames: `recycle`
+/// parks a finished frame's allocation and [`PayloadSlots::wrap`] reuses
+/// it, so the steady-state packet path allocates nothing per frame.
+#[derive(Default)]
+pub(crate) struct PayloadSlots {
+    spare: Vec<Rc<MorePayload>>,
+}
+
+impl PayloadSlots {
+    /// Wraps `payload` for `poll_tx`, in a spare allocation when one is
+    /// free.
+    pub(crate) fn wrap(&mut self, payload: MorePayload) -> DynPayload {
+        if let Some(mut rc) = self.spare.pop() {
+            if let Some(slot) = Rc::get_mut(&mut rc) {
+                *slot = payload;
+                return rc;
+            }
+        }
+        Rc::new(payload)
+    }
+
+    /// The agents' `recycle` hook. When the engine held the last
+    /// reference (a receiver may have kept the payload alive), returns a
+    /// data frame's flat buffer to the pool — closing the zero-copy loop,
+    /// the next encode reuses it — and keeps the allocation for
+    /// [`PayloadSlots::wrap`].
+    pub(crate) fn recycle(&mut self, payload: DynPayload) {
+        let Ok(mut rc) = payload.downcast::<MorePayload>() else {
+            return;
+        };
+        let Some(slot) = Rc::get_mut(&mut rc) else {
+            return;
+        };
+        let placeholder = MorePayload::Ack {
+            flow: 0,
+            batch: 0,
+            origin: NodeId(0),
+        };
+        if let MorePayload::Data { packet, .. } = std::mem::replace(slot, placeholder) {
+            pool::release(packet.into_data());
+        }
+        self.spare.push(rc);
     }
 }
 

@@ -1,7 +1,7 @@
 //! MORE — MAC-independent Opportunistic Routing and Encoding.
 //!
 //! The paper's contribution (thesis Chapter 3), implemented as a
-//! [`mesh_sim::NodeAgent`]:
+//! [`mesh_sim::ErasedFlowAgent`]:
 //!
 //! * the **source** breaks the file into batches of K native packets and,
 //!   whenever the MAC lets it, broadcasts a fresh random linear

@@ -21,15 +21,16 @@
 )]
 
 use crate::flow::NodeFlowState;
-use crate::header::MorePayload;
+use crate::header::{MorePayload, PayloadSlots};
 use crate::{batch_natives, MoreConfig};
 use mesh_metrics::etx::LinkCost;
 use mesh_metrics::{EtxTable, ForwarderPlan};
 use mesh_sim::queue::DropCause;
-use mesh_sim::{Ctx, Frame, NodeAgent, OutFrame, Time, TxOutcome};
+use mesh_sim::{take_payload, Ctx, DynPayload, ErasedFlowAgent, Frame, OutFrame, Time, TxOutcome};
 use mesh_topology::{NodeId, Topology};
 use rand::Rng;
 use rlnc::{pool, CodedPacket, SourceEncoder};
+use std::any::Any;
 use std::collections::VecDeque;
 
 /// Size of a batch-ACK frame on the air.
@@ -122,6 +123,8 @@ pub struct MulticastMoreAgent {
     topo: Topology,
     flows: Vec<McFlow>,
     ack_outstanding: Vec<AckOutstanding>,
+    /// Reused `Rc` allocations for outgoing payloads.
+    slots: PayloadSlots,
 }
 
 impl MulticastMoreAgent {
@@ -132,6 +135,7 @@ impl MulticastMoreAgent {
             topo,
             flows: Vec::new(),
             ack_outstanding: vec![VecDeque::new(); n],
+            slots: PayloadSlots::default(),
         }
     }
 
@@ -228,10 +232,6 @@ impl MulticastMoreAgent {
         &self.flows[index].progress
     }
 
-    pub fn all_done(&self) -> bool {
-        self.flows.iter().all(|f| f.progress.done || f.halted)
-    }
-
     /// Source frontier: the earliest batch not yet ACKed by everyone.
     fn advance_src(&mut self, fi: usize, ctx: &mut Ctx<'_>) {
         let cfg = self.cfg;
@@ -256,12 +256,13 @@ impl MulticastMoreAgent {
     }
 }
 
-impl NodeAgent for MulticastMoreAgent {
-    type Payload = MorePayload;
-
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<MorePayload>, ctx: &mut Ctx<'_>) {
+impl ErasedFlowAgent for MulticastMoreAgent {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        let Some(payload) = frame.payload.downcast_ref::<MorePayload>() else {
+            return;
+        };
         let cfg = self.cfg;
-        match &frame.payload {
+        match payload {
             MorePayload::Data {
                 flow,
                 batch,
@@ -397,7 +398,7 @@ impl NodeAgent for MulticastMoreAgent {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<MorePayload>> {
+    fn poll_tx(&mut self, node: NodeId, ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         let cfg = self.cfg;
         for fi in 0..self.flows.len() {
             // 1. ACKs first (destination-originated, then relayed). Each
@@ -425,11 +426,11 @@ impl NodeAgent for MulticastMoreAgent {
                         bytes: ACK_BYTES,
                         bitrate: None,
                         flow: Some(id),
-                        payload: MorePayload::Ack {
+                        payload: self.slots.wrap(MorePayload::Ack {
                             flow: id,
                             batch,
                             origin: node,
-                        },
+                        }),
                     });
                 }
                 let f = &self.flows[fi];
@@ -447,11 +448,11 @@ impl NodeAgent for MulticastMoreAgent {
                         bytes: ACK_BYTES,
                         bitrate: None,
                         flow: Some(id),
-                        payload: MorePayload::Ack {
+                        payload: self.slots.wrap(MorePayload::Ack {
                             flow: id,
                             batch,
                             origin,
-                        },
+                        }),
                     });
                 }
             }
@@ -481,12 +482,12 @@ impl NodeAgent for MulticastMoreAgent {
                     bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
                     bitrate: None,
                     flow: Some(f.id),
-                    payload: MorePayload::Data {
+                    payload: self.slots.wrap(MorePayload::Data {
                         flow: f.id,
                         batch,
                         packet,
                         sender_rank: u32::MAX, // source is upstream of all
-                    },
+                    }),
                 });
             }
             // 3. Forwarder data.
@@ -510,12 +511,12 @@ impl NodeAgent for MulticastMoreAgent {
                 bytes: cfg.header_bytes + k_b + cfg.packet_bytes,
                 bitrate: None,
                 flow: Some(f.id),
-                payload: MorePayload::Data {
+                payload: self.slots.wrap(MorePayload::Data {
                     flow: f.id,
                     batch,
                     packet,
                     sender_rank: 1, // forwarders sit between src and dsts
-                },
+                }),
             });
         }
         None
@@ -524,18 +525,18 @@ impl NodeAgent for MulticastMoreAgent {
     fn on_queue_drop(
         &mut self,
         node: NodeId,
-        payload: MorePayload,
+        payload: DynPayload,
         _cause: DropCause,
         ctx: &mut Ctx<'_>,
     ) {
-        match payload {
+        match take_payload(payload) {
             // ACKs are delivered reliably: retract the outstanding entry
             // and put the batch back where it was polled from.
-            MorePayload::Ack {
+            Some(MorePayload::Ack {
                 flow,
                 batch,
                 origin,
-            } => {
+            }) => {
                 let removed = {
                     let flows = &self.flows;
                     let out = &mut self.ack_outstanding[node.0];
@@ -551,33 +552,17 @@ impl NodeAgent for MulticastMoreAgent {
                 }
             }
             // A dropped coded packet is just an unheard broadcast.
-            MorePayload::Data { packet, .. } => pool::release(packet.into_data()),
+            Some(MorePayload::Data { packet, .. }) => pool::release(packet.into_data()),
+            None => {}
         }
     }
 
-    fn recycle(&mut self, payload: MorePayload) {
-        if let MorePayload::Data { packet, .. } = payload {
-            pool::release(packet.into_data());
-        }
+    fn recycle(&mut self, payload: DynPayload) {
+        self.slots.recycle(payload);
     }
 
-    fn supports_dynamic_flows(&self) -> bool {
-        true
-    }
-
-    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
-        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
-        MulticastMoreAgent::add_flow(self, id, desc.src, desc.dsts.clone(), desc.packets)
-    }
-
-    fn end_flow(&mut self, index: usize) {
-        self.halt_flow(index);
-    }
-}
-
-impl mesh_sim::FlowAgent for MulticastMoreAgent {
     fn flows_done(&self) -> bool {
-        self.all_done()
+        self.flows.iter().all(|f| f.progress.done || f.halted)
     }
 
     /// Multicast progress collapsed to the common view: `delivered` sums
@@ -597,6 +582,27 @@ impl mesh_sim::FlowAgent for MulticastMoreAgent {
             done: p.done,
         }
     }
+
+    fn supports_dynamic_flows(&self) -> bool {
+        true
+    }
+
+    fn add_flow(&mut self, desc: &mesh_sim::FlowDesc) -> usize {
+        let id = self.flows.iter().map(|f| f.id).max().unwrap_or(0) + 1;
+        MulticastMoreAgent::add_flow(self, id, desc.src, desc.dsts.clone(), desc.packets)
+    }
+
+    fn end_flow(&mut self, index: usize) {
+        self.halt_flow(index);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 #[cfg(test)]
@@ -605,20 +611,26 @@ mod test {
     use mesh_sim::{SimConfig, Simulator, SEC};
     use mesh_topology::generate;
 
-    fn run(dsts: Vec<NodeId>, packets: usize, seed: u64) -> (Simulator<MulticastMoreAgent>, usize) {
+    fn run(dsts: Vec<NodeId>, packets: usize, seed: u64) -> (Simulator, usize) {
         let topo = generate::testbed(1);
         let mut agent = MulticastMoreAgent::new(topo.clone(), MoreConfig::default());
         let fi = agent.add_flow(1, NodeId(0), dsts, packets);
-        let mut sim = Simulator::new(topo, SimConfig::default(), agent, seed);
+        let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), seed);
         sim.kick(NodeId(0));
-        sim.run_until(900 * SEC, |a: &MulticastMoreAgent| a.all_done());
+        sim.run_until(900 * SEC, |a| a.flows_done());
         (sim, fi)
+    }
+
+    /// Per-destination progress, read from the concrete agent.
+    fn progress(sim: &Simulator, fi: usize) -> &MulticastProgress {
+        let agent: &MulticastMoreAgent = sim.agent.as_any().downcast_ref().expect("multicast");
+        agent.progress(fi)
     }
 
     #[test]
     fn single_destination_degenerates_to_unicast() {
         let (sim, fi) = run(vec![NodeId(19)], 64, 1);
-        let p = sim.agent.progress(fi);
+        let p = progress(&sim, fi);
         assert!(p.done, "single-dst multicast stuck");
         assert_eq!(p.delivered[0], 64);
     }
@@ -626,7 +638,7 @@ mod test {
     #[test]
     fn two_destinations_both_complete() {
         let (sim, fi) = run(vec![NodeId(19), NodeId(12)], 64, 2);
-        let p = sim.agent.progress(fi);
+        let p = progress(&sim, fi);
         assert!(p.done, "2-dst multicast stuck");
         assert_eq!(p.delivered, vec![64, 64]);
         assert!(p.completed_at.iter().all(|t| t.is_some()));
@@ -636,7 +648,7 @@ mod test {
     fn three_destinations_share_transmissions() {
         // Multicast should cost fewer transmissions than three unicasts.
         let (mc_sim, fi) = run(vec![NodeId(19), NodeId(12), NodeId(7)], 64, 3);
-        assert!(mc_sim.agent.progress(fi).done);
+        assert!(mc_sim.agent.flow_progress(fi).done);
         let mc_tx = mc_sim.stats.total_tx();
 
         let topo = generate::testbed(1);
@@ -644,10 +656,15 @@ mod test {
         for (i, d) in [NodeId(19), NodeId(12), NodeId(7)].iter().enumerate() {
             let mut agent = crate::agent::MoreAgent::new(topo.clone(), MoreConfig::default());
             let ufi = agent.add_flow(1, NodeId(0), *d, 64);
-            let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 4 + i as u64);
+            let mut sim = Simulator::new(
+                topo.clone(),
+                SimConfig::default(),
+                Box::new(agent),
+                4 + i as u64,
+            );
             sim.kick(NodeId(0));
-            sim.run_until(900 * SEC, |a: &crate::agent::MoreAgent| a.all_done());
-            assert!(sim.agent.progress(ufi).done);
+            sim.run_until(900 * SEC, |a| a.flows_done());
+            assert!(sim.agent.flow_progress(ufi).done);
             uni_tx += sim.stats.total_tx();
         }
         assert!(

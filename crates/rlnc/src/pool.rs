@@ -5,9 +5,9 @@
 //! produces and retires such a buffer for every transmission — thousands
 //! per simulated second — and the pool turns that churn into reuse: the
 //! engine hands buffers back when a frame leaves the air
-//! (`mesh_sim::NodeAgent::recycle`), forwarders and decoders hand theirs
-//! back on batch flush, and [`acquire`] serves the next packet from the
-//! freelist instead of the allocator.
+//! (`mesh_sim::ErasedFlowAgent::recycle`), forwarders and decoders hand
+//! theirs back on batch flush, and [`acquire`] serves the next packet from
+//! the freelist instead of the allocator.
 //!
 //! ## Safety of reuse
 //!

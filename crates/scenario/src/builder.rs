@@ -193,9 +193,9 @@ impl ScenarioBuilder {
     /// Sets the traffic model — how flows arrive and depart over the run
     /// (default: the static [`TrafficSpec`] expansion). Dynamic models
     /// inject flows mid-run through the protocol's
-    /// [`mesh_sim::NodeAgent::add_flow`] lifecycle hook and withdraw them
-    /// via [`mesh_sim::NodeAgent::end_flow`]; per-flow arrival, departure,
-    /// and completion latency land in each record's flow rows.
+    /// [`mesh_sim::ErasedFlowAgent::add_flow`] lifecycle hook and withdraw
+    /// them via [`mesh_sim::ErasedFlowAgent::end_flow`]; per-flow arrival,
+    /// departure, and completion latency land in each record's flow rows.
     ///
     /// ```
     /// use more_scenario::{Scenario, TopologySpec, TrafficModelSpec};
@@ -703,6 +703,34 @@ mod test {
             }
             let err = builder.try_run().expect_err(name);
             assert!(matches!(err, BuildError::Unsupported(_)), "{name}: {err:?}");
+        }
+        // Empty transfers: zero packets or a zero batch size, set
+        // directly or at one sweep point, in every protocol that reads
+        // them (Srcr has no batches).
+        let line = |protocol: &str| {
+            Scenario::named("empty")
+                .topology(TopologySpec::Line {
+                    hops: 2,
+                    p_adj: 0.9,
+                    skip_decay: 0.3,
+                    spacing: 25.0,
+                })
+                .pair(NodeId(0), NodeId(2))
+                .protocol(protocol)
+                .seeds([1, 2])
+                .threads(2)
+        };
+        let unsupported = |b: ScenarioBuilder, what: &str| {
+            let err = b.try_run().expect_err(what);
+            assert!(matches!(err, BuildError::Unsupported(_)), "{what}: {err:?}");
+        };
+        for p in ["MORE", "ExOR", "Srcr"] {
+            unsupported(line(p).packets(0), p);
+            unsupported(line(p).sweep(Sweep::Packets(vec![8, 0])), p);
+        }
+        for p in ["MORE", "ExOR"] {
+            unsupported(line(p).packets(8).k(0), p);
+            unsupported(line(p).packets(8).sweep(Sweep::K(vec![8, 0])), p);
         }
     }
 

@@ -258,7 +258,7 @@ fn run_cell(
         if dynamic && !agent.supports_dynamic_flows() {
             return Err(BuildError::Unsupported(format!(
                 "protocol {proto_name} does not implement the dynamic flow \
-                 lifecycle (NodeAgent::add_flow/end_flow) required by \
+                 lifecycle (ErasedFlowAgent::add_flow/end_flow) required by \
                  traffic model {:?}",
                 point.traffic
             )));
@@ -330,7 +330,6 @@ fn validate_endpoints(topo: &Topology, windows: &[FlowWindow]) -> Result<(), Bui
 /// contract — and dynamically arriving flows are auto-paced via the
 /// traffic hook).
 #[allow(clippy::too_many_arguments)]
-#[allow(clippy::borrowed_box)] // run's stop callback receives &A = &Box<dyn _>
 fn run_one(
     scenario: &str,
     protocol: &str,
@@ -378,7 +377,7 @@ fn run_one(
             sim.schedule_traffic(stop, TrafficAction::Stop(i));
         }
     }
-    sim.run_until(deadline, |a: &Box<dyn ErasedFlowAgent>| a.flows_done());
+    sim.run_until(deadline, |a| a.flows_done());
 
     let concurrency = {
         let total = sim.stats.total_airtime();

@@ -30,14 +30,14 @@
 //! * [`ProtocolFactory`] / [`ProtocolRegistry`] — protocols are
 //!   pluggable objects, not enum arms. [`ProtocolRegistry::with_defaults`]
 //!   ships MORE, ExOR, Srcr, and Srcr-autorate; anything implementing
-//!   [`ProtocolFactory`] (over any [`mesh_sim::FlowAgent`]) registers
-//!   alongside them — from outside this crate — and runs in the same
-//!   scenarios on the same seeds.
+//!   [`ProtocolFactory`] (over any [`mesh_sim::ErasedFlowAgent`])
+//!   registers alongside them — from outside this crate — and runs in the
+//!   same scenarios on the same seeds.
 //! * [`TrafficModel`] / [`TrafficModelSpec`] — workloads are pluggable
 //!   objects too: the legacy static [`TrafficSpec`] expansion is one
 //!   model among several (Poisson arrivals, on-off sources, staggered
 //!   ramps), and dynamic models start and stop flows *mid-run* through
-//!   the protocol's [`mesh_sim::NodeAgent`] lifecycle hooks.
+//!   the protocol's [`mesh_sim::ErasedFlowAgent`] lifecycle hooks.
 //! * [`sink::RunSink`] — results *stream*: each record is handed to a
 //!   sink the moment its grid cell completes (in deterministic grid
 //!   order). [`sink::Collect`] reproduces the legacy `Vec<RunRecord>`

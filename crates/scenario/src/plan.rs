@@ -96,6 +96,13 @@ impl Point {
             p.value = Some(sweep.value(i));
         }
         p.sim.bitrate = p.exp.bitrate;
+        if p.exp.packets == 0 || p.exp.k == 0 {
+            return Err(BuildError::Unsupported(format!(
+                "packets = {}, k = {}: a transfer needs at least one packet and \
+                 a batch size of at least one",
+                p.exp.packets, p.exp.k
+            )));
+        }
         p.traffic
             .validate(p.exp.deadline_s)
             .map_err(BuildError::Unsupported)?;

@@ -6,7 +6,7 @@
 use crate::registry::{BuildError, ProtocolFactory};
 use crate::spec::{ExpConfig, FlowSpec};
 use baselines::{ExorAgent, ExorConfig, SrcrAgent, SrcrConfig};
-use mesh_sim::{Erased, ErasedFlowAgent};
+use mesh_sim::ErasedFlowAgent;
 use mesh_topology::Topology;
 use more_core::{MoreAgent, MoreConfig, MulticastMoreAgent};
 
@@ -60,13 +60,13 @@ impl ProtocolFactory for MoreFactory {
             for (i, f) in flows.iter().enumerate() {
                 agent.add_flow(i as u32 + 1, f.src, f.dsts.clone(), f.packets);
             }
-            Ok(Box::new(Erased(agent)))
+            Ok(Box::new(agent))
         } else {
             let mut agent = MoreAgent::new(topo.clone(), mcfg);
             for (i, f) in flows.iter().enumerate() {
                 agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
             }
-            Ok(Box::new(Erased(agent)))
+            Ok(Box::new(agent))
         }
     }
 }
@@ -126,7 +126,7 @@ impl ProtocolFactory for ExorFactory {
             let fi = agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
             agent.start(fi);
         }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(agent))
     }
 }
 
@@ -190,7 +190,7 @@ impl ProtocolFactory for SrcrFactory {
         for (i, f) in flows.iter().enumerate() {
             agent.add_flow(i as u32 + 1, f.src, f.dst(), f.packets);
         }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(agent))
     }
 }
 

@@ -117,10 +117,12 @@ pub(crate) struct FlowWindow {
 /// misbehaving [`TrafficModelSpec::Custom`] model surfaces as a
 /// [`crate::BuildError::InvalidSchedule`] from `try_run` instead of a
 /// panic inside a worker thread. Rejects: an unsorted event list, any
-/// event at or beyond the horizon, and a `Stop` referencing a flow that
-/// has not started yet (which covers both unknown indices and a `Stop`
-/// ordered before its `Start`). A `Stop` at the same instant as its
-/// `Start` is legal — a zero-width window reports `0.0` throughput.
+/// event at or beyond the horizon, a `Start` of an empty transfer
+/// (`packets == 0`) or of a flow with no destination, and a `Stop`
+/// referencing a flow that has not started yet (which covers both
+/// unknown indices and a `Stop` ordered before its `Start`). A `Stop` at
+/// the same instant as its `Start` is legal — a zero-width window
+/// reports `0.0` throughput.
 ///
 /// The built-in models satisfy this by construction; validation runs on
 /// every schedule anyway as a cheap invariant check.
@@ -141,7 +143,15 @@ pub fn validate_schedule(schedule: &[FlowEvent], horizon: Time) -> Result<(), St
             ));
         }
         match ev {
-            FlowEvent::Start { .. } => starts += 1,
+            FlowEvent::Start { flow, .. } => {
+                if flow.packets == 0 || flow.dsts.is_empty() {
+                    return Err(format!(
+                        "flow {starts} starting at {at} µs is empty: {} packets to {:?}",
+                        flow.packets, flow.dsts
+                    ));
+                }
+                starts += 1;
+            }
             FlowEvent::Stop { flow, .. } => {
                 if *flow >= starts {
                     return Err(format!(
@@ -778,6 +788,25 @@ mod test {
         assert!(validate_schedule(&[start(100)], 100)
             .unwrap_err()
             .contains("horizon"));
+        // An empty transfer, and a flow with no destination.
+        let empty = FlowEvent::Start {
+            flow: FlowSpec::unicast(NodeId(0), NodeId(1), 0),
+            at: 0,
+        };
+        assert!(validate_schedule(&[empty], 100)
+            .unwrap_err()
+            .contains("is empty: 0 packets"));
+        let nowhere = FlowEvent::Start {
+            flow: FlowSpec {
+                src: NodeId(0),
+                dsts: vec![],
+                packets: 8,
+            },
+            at: 0,
+        };
+        assert!(validate_schedule(&[nowhere], 100)
+            .unwrap_err()
+            .contains("8 packets to []"));
     }
 
     #[test]

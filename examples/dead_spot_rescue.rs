@@ -28,11 +28,11 @@ const PACKETS: usize = 96;
 fn srcr_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) -> f64 {
     let mut agent = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
     let flow = agent.add_flow(1, s, d, PACKETS);
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(agent), 9);
     sim.kick(s);
     let deadline = 240 * SEC;
-    sim.run_until(deadline, |a: &SrcrAgent| a.all_done());
-    let p = sim.agent.progress(flow);
+    sim.run_until(deadline, |a| a.flows_done());
+    let p = sim.agent.flow_progress(flow);
     let t = p.completed_at.unwrap_or(deadline).max(1);
     p.delivered as f64 / (t as f64 / SEC as f64)
 }
@@ -41,16 +41,13 @@ fn more_throughput(topo: &more_repro::topology::Topology, s: NodeId, d: NodeId) 
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
     let flow = agent.add_flow(1, s, d, PACKETS);
     let n_forwarders = agent.flows()[flow].plan.forwarders().len();
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 9);
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(agent), 9);
     sim.kick(s);
     let deadline = 240 * SEC;
-    sim.run_until(deadline, |a: &MoreAgent| a.all_done());
-    let p = sim.agent.progress(flow);
+    sim.run_until(deadline, |a| a.flows_done());
+    let p = sim.agent.flow_progress(flow);
     let t = p.completed_at.unwrap_or(deadline).max(1);
-    (
-        p.delivered_packets as f64 / (t as f64 / SEC as f64),
-        n_forwarders,
-    )
+    (p.delivered as f64 / (t as f64 / SEC as f64), n_forwarders)
 }
 
 fn main() {

@@ -29,10 +29,11 @@ fn main() {
     // Multicast: one flow, three destinations.
     let mut agent = MulticastMoreAgent::new(topo.clone(), MoreConfig::default());
     let fi = agent.add_flow(1, src, dsts.clone(), PACKETS);
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 5);
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(agent), 5);
     sim.kick(src);
-    sim.run_until(900 * SEC, |a: &MulticastMoreAgent| a.all_done());
-    let p = sim.agent.progress(fi);
+    sim.run_until(900 * SEC, |a| a.flows_done());
+    let mc: &MulticastMoreAgent = sim.agent.as_any().downcast_ref().expect("multicast agent");
+    let p = mc.progress(fi);
     assert!(p.done);
     let mc_tx = sim.stats.total_tx();
     println!("multicast {src} -> {dsts:?}: {PACKETS} packets each");
@@ -49,10 +50,15 @@ fn main() {
     for (i, &d) in dsts.iter().enumerate() {
         let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
         let fi = agent.add_flow(1, src, d, PACKETS);
-        let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 6 + i as u64);
+        let mut sim = Simulator::new(
+            topo.clone(),
+            SimConfig::default(),
+            Box::new(agent),
+            6 + i as u64,
+        );
         sim.kick(src);
-        sim.run_until(900 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done);
+        sim.run_until(900 * SEC, |a| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done);
         uni_tx += sim.stats.total_tx();
     }
     println!("three sequential unicasts: {uni_tx} transmissions");

@@ -85,18 +85,17 @@ fn measured_run() -> (u64, usize) {
     let mut agent = MoreAgent::new(topo.clone(), cfg);
     let f1 = agent.add_flow(1, NodeId(0), NodeId(19), 32);
     let f2 = agent.add_flow(2, NodeId(5), NodeId(12), 32);
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 1);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 1);
     sim.kick(NodeId(0));
     sim.kick(NodeId(5));
 
     // Everything above — topology, ETX plans, agent state, event queue —
     // is setup; the budget covers only the simulation loop.
     let before = ALLOCS.load(Ordering::Relaxed);
-    sim.run_until(180 * SEC, |a: &MoreAgent| a.all_done());
+    sim.run_until(180 * SEC, |a| a.flows_done());
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
 
-    let delivered =
-        sim.agent.progress(f1).delivered_packets + sim.agent.progress(f2).delivered_packets;
+    let delivered = sim.agent.flow_progress(f1).delivered + sim.agent.flow_progress(f2).delivered;
     (spent, delivered)
 }
 

@@ -9,11 +9,11 @@ use more_repro::topology::{generate, NodeId, Topology};
 fn more_run(topo: &Topology, s: usize, d: usize, packets: usize, seed: u64) -> (bool, usize, u64) {
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
     let fi = agent.add_flow(1, NodeId(s), NodeId(d), packets);
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, seed);
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(agent), seed);
     sim.kick(NodeId(s));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    let p = sim.agent.progress(fi);
-    (p.done, p.delivered_packets, sim.stats.total_tx())
+    sim.run_until(600 * SEC, |a| a.flows_done());
+    let p = sim.agent.flow_progress(fi);
+    (p.done, p.delivered, sim.stats.total_tx())
 }
 
 #[test]
@@ -44,11 +44,11 @@ fn more_payload_integrity_over_lossy_multihop() {
     };
     let mut agent = MoreAgent::new(topo.clone(), cfg);
     let fi = agent.add_flow(1, NodeId(0), NodeId(19), 48);
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 11);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 11);
     sim.kick(NodeId(0));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done);
-    assert_eq!(sim.agent.progress(fi).delivered_packets, 48);
+    sim.run_until(600 * SEC, |a| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done);
+    assert_eq!(sim.agent.flow_progress(fi).delivered, 48);
 }
 
 #[test]
@@ -58,18 +58,19 @@ fn exor_and_srcr_complete_on_the_testbed() {
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
     let efi = ea.add_flow(1, NodeId(5), NodeId(14), 64);
     ea.start(efi);
-    let mut esim = Simulator::new(topo.clone(), SimConfig::default(), ea, 2);
+    let mut esim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(ea), 2);
     esim.kick(NodeId(5));
-    esim.run_until(600 * SEC, |a: &ExorAgent| a.all_done());
-    assert!(esim.agent.progress(efi).done, "ExOR stuck");
-    assert_eq!(esim.agent.progress(efi).delivered, 64);
+    esim.run_until(600 * SEC, |a| a.flows_done());
+    assert!(esim.agent.flow_progress(efi).done, "ExOR stuck");
+    assert_eq!(esim.agent.flow_progress(efi).delivered, 64);
     // Srcr
     let mut sa = SrcrAgent::new(topo.clone(), SrcrConfig::default(), Bitrate::B5_5);
     let sfi = sa.add_flow(1, NodeId(5), NodeId(14), 64);
-    let mut ssim = Simulator::new(topo, SimConfig::default(), sa, 2);
+    let mut ssim = Simulator::new(topo, SimConfig::default(), Box::new(sa), 2);
     ssim.kick(NodeId(5));
-    ssim.run_until(600 * SEC, |a: &SrcrAgent| a.all_done());
-    let p = ssim.agent.progress(sfi);
+    ssim.run_until(600 * SEC, |a| a.flows_done());
+    let srcr: &SrcrAgent = ssim.agent.as_any().downcast_ref().expect("a SrcrAgent");
+    let p = srcr.progress(sfi);
     assert!(p.done, "Srcr stuck");
     assert_eq!(p.delivered + p.dropped, 64);
 }
@@ -89,10 +90,10 @@ fn stopping_rule_silences_the_network() {
     let topo = generate::testbed(1);
     let mut agent = MoreAgent::new(topo.clone(), MoreConfig::default());
     let fi = agent.add_flow(1, NodeId(2), NodeId(17), 64);
-    let mut sim = Simulator::new(topo, SimConfig::default(), agent, 5);
+    let mut sim = Simulator::new(topo, SimConfig::default(), Box::new(agent), 5);
     sim.kick(NodeId(2));
-    sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-    assert!(sim.agent.progress(fi).done);
+    sim.run_until(600 * SEC, |a| a.flows_done());
+    assert!(sim.agent.flow_progress(fi).done);
     let tx_at_done = sim.stats.total_tx();
     let t = sim.now();
     sim.run_until(t + 5 * SEC, |_| false);
@@ -111,13 +112,13 @@ fn concurrent_flows_all_protocols() {
     for (i, &(s, d)) in flows.iter().enumerate() {
         ma.add_flow(i as u32 + 1, s, d, 32);
     }
-    let mut msim = Simulator::new(topo.clone(), SimConfig::default(), ma, 3);
+    let mut msim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(ma), 3);
     for &(s, _) in &flows {
         msim.kick(s);
     }
-    msim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
+    msim.run_until(600 * SEC, |a| a.flows_done());
     for i in 0..flows.len() {
-        assert!(msim.agent.progress(i).done, "MORE flow {i} stuck");
+        assert!(msim.agent.flow_progress(i).done, "MORE flow {i} stuck");
     }
 
     let mut ea = ExorAgent::new(topo.clone(), ExorConfig::default());
@@ -125,13 +126,13 @@ fn concurrent_flows_all_protocols() {
         let fi = ea.add_flow(i as u32 + 1, s, d, 32);
         ea.start(fi);
     }
-    let mut esim = Simulator::new(topo, SimConfig::default(), ea, 3);
+    let mut esim = Simulator::new(topo, SimConfig::default(), Box::new(ea), 3);
     for &(s, _) in &flows {
         esim.kick(s);
     }
-    esim.run_until(900 * SEC, |a: &ExorAgent| a.all_done());
+    esim.run_until(900 * SEC, |a| a.flows_done());
     for i in 0..flows.len() {
-        assert!(esim.agent.progress(i).done, "ExOR flow {i} stuck");
+        assert!(esim.agent.flow_progress(i).done, "ExOR flow {i} stuck");
     }
 }
 
@@ -145,10 +146,10 @@ fn batch_sizes_all_work() {
         };
         let mut agent = MoreAgent::new(topo.clone(), cfg);
         let fi = agent.add_flow(1, NodeId(0), NodeId(2), 2 * k + k / 2 + 1);
-        let mut sim = Simulator::new(topo.clone(), SimConfig::default(), agent, 4);
+        let mut sim = Simulator::new(topo.clone(), SimConfig::default(), Box::new(agent), 4);
         sim.kick(NodeId(0));
-        sim.run_until(600 * SEC, |a: &MoreAgent| a.all_done());
-        assert!(sim.agent.progress(fi).done, "K={k} stuck");
-        assert_eq!(sim.agent.progress(fi).delivered_packets, 2 * k + k / 2 + 1);
+        sim.run_until(600 * SEC, |a| a.flows_done());
+        assert!(sim.agent.flow_progress(fi).done, "K={k} stuck");
+        assert_eq!(sim.agent.flow_progress(fi).delivered, 2 * k + k / 2 + 1);
     }
 }

@@ -11,9 +11,11 @@ use more_repro::scenario::{
     record, BuildError, ExpConfig, FlowSpec, ProtocolFactory, Scenario, Sweep, TopologySpec,
     TrafficSpec,
 };
-use more_repro::sim::{Ctx, Erased, ErasedFlowAgent, Frame, NodeAgent, OutFrame, TxOutcome};
-use more_repro::sim::{FlowAgent, FlowProgressView, Time};
+use more_repro::sim::{Ctx, DynPayload, ErasedFlowAgent, Frame, OutFrame, TxOutcome};
+use more_repro::sim::{FlowProgressView, Time};
 use more_repro::topology::{generate, NodeId, Topology};
+use std::any::Any;
+use std::rc::Rc;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -64,7 +66,7 @@ fn sweep_coordinates_are_recorded() {
 /// knows `repeats` times; the destination counts distinct packets. No
 /// routing, no metric, no feedback — the dumbest thing that moves data
 /// over a lossy chain, and therefore a good smoke test that arbitrary
-/// [`NodeAgent`]s plug into the registry.
+/// [`ErasedFlowAgent`]s plug into the registry.
 struct FloodAgent {
     repeats: u32,
     flows: Vec<FloodFlow>,
@@ -113,11 +115,11 @@ struct FloodPayload {
     seq: u32,
 }
 
-impl NodeAgent for FloodAgent {
-    type Payload = FloodPayload;
-
-    fn on_receive(&mut self, node: NodeId, frame: &Frame<FloodPayload>, ctx: &mut Ctx<'_>) {
-        let FloodPayload { flow, seq } = frame.payload;
+impl ErasedFlowAgent for FloodAgent {
+    fn on_receive(&mut self, node: NodeId, frame: &Frame<DynPayload>, ctx: &mut Ctx<'_>) {
+        let Some(&FloodPayload { flow, seq }) = frame.payload.downcast_ref() else {
+            return;
+        };
         let f = &mut self.flows[flow];
         if f.seen[node.0][seq as usize] {
             return;
@@ -141,7 +143,7 @@ impl NodeAgent for FloodAgent {
         }
     }
 
-    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<FloodPayload>> {
+    fn poll_tx(&mut self, node: NodeId, _ctx: &mut Ctx<'_>) -> Option<OutFrame<DynPayload>> {
         for (fi, f) in self.flows.iter_mut().enumerate() {
             if let Some((seq, left)) = f.pending[node.0].last_mut() {
                 let payload = FloodPayload {
@@ -157,15 +159,13 @@ impl NodeAgent for FloodAgent {
                     bytes: 1500,
                     bitrate: None,
                     flow: Some(fi as u32 + 1),
-                    payload,
+                    payload: Rc::new(payload),
                 });
             }
         }
         None
     }
-}
 
-impl FlowAgent for FloodAgent {
     fn flows_done(&self) -> bool {
         self.flows.iter().all(|f| f.delivered == f.total)
     }
@@ -177,6 +177,14 @@ impl FlowAgent for FloodAgent {
             completed_at: f.completed_at,
             done: f.delivered == f.total,
         }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -203,7 +211,7 @@ impl ProtocolFactory for FloodFactory {
             }
             agent.add_flow(f.src, f.dst(), f.packets);
         }
-        Ok(Box::new(Erased(agent)))
+        Ok(Box::new(agent))
     }
 }
 

@@ -346,6 +346,11 @@ fn custom(events: Vec<FlowEvent>) -> TrafficModelSpec {
 }
 
 fn line_builder(name: &str, traffic: TrafficModelSpec) -> ScenarioBuilder {
+    line_grid(name, traffic).protocol("MORE")
+}
+
+/// [`line_builder`] without a protocol selected.
+fn line_grid(name: &str, traffic: TrafficModelSpec) -> ScenarioBuilder {
     Scenario::named(name)
         .topology(more_repro::scenario::TopologySpec::Line {
             hops: 2,
@@ -354,7 +359,6 @@ fn line_builder(name: &str, traffic: TrafficModelSpec) -> ScenarioBuilder {
             spacing: 25.0,
         })
         .traffic_model(traffic)
-        .protocol("MORE")
         .packets(8)
         .deadline(60)
 }
@@ -464,4 +468,34 @@ fn misbehaving_custom_schedules_error_instead_of_panicking() {
     .try_run()
     .expect_err("unsorted events");
     assert!(matches!(err, BuildError::InvalidSchedule(_)), "{err}");
+
+    // An empty transfer, and a flow with no destination, arriving at
+    // t = 0 (installed at construction) or mid-run (through add_flow),
+    // in every protocol.
+    let empty = FlowSpec::unicast(NodeId(0), NodeId(2), 0);
+    let nowhere = FlowSpec {
+        src: NodeId(0),
+        dsts: vec![],
+        packets: 8,
+    };
+    for bad in [empty, nowhere] {
+        for at in [0, SEC] {
+            for protocol in ["MORE", "ExOR", "Srcr"] {
+                let start = FlowEvent::Start {
+                    flow: bad.clone(),
+                    at,
+                };
+                let err = line_grid("degenerate_flow", custom(vec![start]))
+                    .protocol(protocol)
+                    .seeds([1, 2])
+                    .threads(2)
+                    .try_run()
+                    .expect_err("degenerate flow");
+                assert!(
+                    matches!(err, BuildError::InvalidSchedule(_)),
+                    "{protocol} {bad:?} at {at}: {err}"
+                );
+            }
+        }
+    }
 }
