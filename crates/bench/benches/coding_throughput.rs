@@ -10,9 +10,9 @@
 //! * `coding/decode` — full-batch incremental decode per kernel family
 //!   (per-packet cost = measured time / K).
 //!
-//! `bench_coding` (the binary) measures the same path with a plain timer
-//! and writes `BENCH_coding.json`; this harness is for quick relative
-//! comparisons during development.
+//! perfbench (`perfbench/`, listed in `BENCHMARK.json`) times the same
+//! encode/decode path, but only with the kernel family the host selects;
+//! this harness is where the two families are compared.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gf256::slice_ops::{self, set_kernel, Kernel};

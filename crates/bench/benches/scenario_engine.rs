@@ -1,14 +1,13 @@
-//! Benchmarks of the scenario engine itself: one MORE transfer on each
-//! channel model and queue discipline, the traffic-model and sink
-//! paths, and a whole scenario grid end-to-end.
+//! Benchmarks of the engine paths no perfbench workload runs: one MORE
+//! transfer on each channel model (Gilbert–Elliott air) and on each
+//! queue discipline (RED and CHOKe). perfbench times the scenario grid,
+//! the traffic-model arrival path and the sinks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mesh_sim::{ChannelSpec, QueueSpec, SimConfig, Simulator, SEC};
 use mesh_topology::{generate, NodeId};
 use more_core::{MoreAgent, MoreConfig};
-use more_scenario::{Scenario, TopologySpec, TrafficModelSpec, TrafficSpec};
 use std::hint::black_box;
-use std::sync::Arc;
 
 const PACKETS: usize = 64;
 
@@ -51,16 +50,17 @@ fn bench_channel_models(c: &mut Criterion) {
 }
 
 /// Queue-subsystem cost: the same MORE transfer through
-/// [`Simulator::with_queue`]. Unbounded installs no queue layer at all —
-/// the transmit path must stay at pre-queue speed (the ≤ 2% gate the
-/// committed `BENCH_engine.json` tracks) — while DropTail and CHOKe pay
-/// for the pump loop, classification, and (for CHOKe) the random peek.
+/// [`Simulator::with_queue`]. Unbounded installs no queue layer at all,
+/// so the transmit path stays at pre-queue speed, while DropTail and
+/// CHOKe pay for the pump loop, classification, and (for CHOKe) the
+/// random peek. RED adds its early-drop draw.
 fn bench_queue_disciplines(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario_engine/queue");
     let topo = line();
     let specs = [
         ("unbounded", QueueSpec::Unbounded),
         ("droptail", QueueSpec::drop_tail(16)),
+        ("red", QueueSpec::red(16)),
         ("choke", QueueSpec::choke(16)),
     ];
     for (name, spec) in specs {
@@ -85,123 +85,9 @@ fn bench_queue_disciplines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Traffic-model cost: the same MORE transfer expanded by the legacy
-/// `TrafficSpec` shorthand and through the trait-dispatched
-/// `TrafficModelSpec::Static` (both are the `StaticModel` path, which
-/// must stay at pre-traffic-model speed), plus a staggered-arrival run
-/// that actually exercises the mid-run traffic queue.
-fn bench_traffic_models(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scenario_engine/traffic");
-    let topo = Arc::new(line());
-    let run = |traffic: TrafficModelSpec| {
-        let records = Scenario::named("bench")
-            .topology(TopologySpec::Fixed(topo.clone()))
-            .traffic_model(traffic)
-            .protocol("MORE")
-            .packets(PACKETS)
-            .deadline(120)
-            .threads(1)
-            .run();
-        black_box(records.len())
-    };
-    group.bench_function("static_legacy_shorthand", |b| {
-        b.iter(|| {
-            run(TrafficModelSpec::Static(TrafficSpec::SinglePair {
-                src: NodeId(0),
-                dst: NodeId(3),
-            }))
-        })
-    });
-    group.bench_function("static_trait_dispatch", |b| {
-        b.iter(|| {
-            run(TrafficModelSpec::Static(TrafficSpec::EachPair(vec![(
-                NodeId(0),
-                NodeId(3),
-            )])))
-        })
-    });
-    group.bench_function("staggered_dynamic", |b| {
-        b.iter(|| {
-            run(TrafficModelSpec::Staggered {
-                n_flows: 2,
-                gap_ms: 200,
-                hold_ms: None,
-            })
-        })
-    });
-    group.finish();
-}
-
-/// A small three-protocol grid through the full builder machinery.
-fn bench_scenario_grid(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scenario_engine/grid");
-    let topo = Arc::new(line());
-    group.bench_function("3protos_x_2seeds", |b| {
-        b.iter(|| {
-            let records = Scenario::named("bench")
-                .topology(TopologySpec::Fixed(topo.clone()))
-                .traffic(TrafficSpec::SinglePair {
-                    src: NodeId(0),
-                    dst: NodeId(3),
-                })
-                .protocols(["Srcr", "ExOR", "MORE"])
-                .packets(32)
-                .deadline(120)
-                .seeds(1..=2)
-                .threads(1)
-                .run();
-            assert_eq!(records.len(), 6);
-            black_box(records.len())
-        })
-    });
-    group.finish();
-}
-
-/// Streaming-sink cost over the same grid: the default Collect path
-/// (the legacy materialize-everything shape, which must stay at
-/// pre-streaming speed) against the bounded-memory Aggregate sink.
-fn bench_sink_pipeline(c: &mut Criterion) {
-    use more_scenario::sink::{Aggregate, Collect};
-    let mut group = c.benchmark_group("scenario_engine/sink");
-    let topo = Arc::new(line());
-    let builder = |topo: &Arc<mesh_topology::Topology>| {
-        Scenario::named("bench")
-            .topology(TopologySpec::Fixed(topo.clone()))
-            .traffic(TrafficSpec::SinglePair {
-                src: NodeId(0),
-                dst: NodeId(3),
-            })
-            .protocols(["Srcr", "MORE"])
-            .packets(32)
-            .deadline(120)
-            .seeds(1..=2)
-            .threads(1)
-    };
-    group.bench_function("collect", |b| {
-        b.iter(|| {
-            let mut sink = Collect::new();
-            let summary = builder(&topo).run_with_sink(&mut sink);
-            assert_eq!(summary.records_high_water, 4, "Collect holds the grid");
-            black_box(summary.records)
-        })
-    });
-    group.bench_function("aggregate", |b| {
-        b.iter(|| {
-            let mut sink = Aggregate::new();
-            let summary = builder(&topo).run_with_sink(&mut sink);
-            assert!(summary.records_high_water <= 1, "bounded memory");
-            black_box(summary.records)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     scenario_engine,
     bench_channel_models,
-    bench_queue_disciplines,
-    bench_traffic_models,
-    bench_scenario_grid,
-    bench_sink_pipeline
+    bench_queue_disciplines
 );
 criterion_main!(scenario_engine);

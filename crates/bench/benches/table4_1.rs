@@ -38,7 +38,7 @@ fn bench_independence_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_coding_at_source(c: &mut Criterion) {
+fn bench_source_coding(c: &mut Criterion) {
     let mut group = c.benchmark_group("table4_1/coding_at_source");
     for k in [8usize, 32, 128] {
         let natives = batch_natives(1, 0, k, PACKET);
@@ -103,7 +103,7 @@ fn bench_forwarder_recode(c: &mut Criterion) {
 criterion_group!(
     table4_1,
     bench_independence_check,
-    bench_coding_at_source,
+    bench_source_coding,
     bench_decoding,
     bench_forwarder_recode
 );

@@ -11,8 +11,12 @@ impl Args {
     /// Parses `std::env::args()`. A `--flag` followed by another
     /// `--option` (or nothing) is a bare switch and reads as `"true"`.
     pub fn parse() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut map = HashMap::new();
-        let mut args = std::env::args().skip(1).peekable();
+        let mut args = args.into_iter().peekable();
         while let Some(a) = args.next() {
             if let Some(key) = a.strip_prefix("--") {
                 let value = match args.peek() {
@@ -25,17 +29,22 @@ impl Args {
         Args { map }
     }
 
-    /// True when `--key` was passed at all (with or without a value).
-    pub fn has(&self, key: &str) -> bool {
-        self.map.contains_key(key)
+    /// Typed lookup with default. A value that does not parse as `T`
+    /// prints the flag and the value to stderr and exits with status 2.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.try_get(key, default).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
     }
 
-    /// Typed lookup with default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.map
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.map.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value for --{key}: {v:?}")),
+        }
     }
 }
 
@@ -51,4 +60,26 @@ pub fn banner(fig: &str, what: &str) {
     println!("==================================================================");
     println!("{fig}: {what}");
     println!("==================================================================");
+}
+
+#[cfg(test)]
+mod test {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        Args::from_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unparseable_values_are_errors_not_defaults() {
+        let a = args(&["--pairs", "abc", "--packets", "48", "--quick"]);
+        assert_eq!(
+            a.try_get("pairs", 60usize),
+            Err("invalid value for --pairs: \"abc\"".to_string())
+        );
+        assert_eq!(a.try_get("packets", 192usize), Ok(48));
+        assert_eq!(a.try_get("seed", 1u64), Ok(1));
+        assert_eq!(a.try_get("quick", false), Ok(true));
+        assert!(a.try_get("quick", 0usize).is_err());
+    }
 }

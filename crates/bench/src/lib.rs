@@ -22,10 +22,7 @@
 pub mod common;
 pub mod stats;
 
-pub use more_scenario::{
-    random_pairs, sink, ChannelSpec, ExpConfig, ProtocolFactory, ProtocolRegistry, RunRecord,
-    RunSummary, Sweep,
-};
+pub use more_scenario::{random_pairs, RunRecord};
 
 /// The paper's three-way comparison, in plotting order.
 pub const ALL3: [&str; 3] = ["Srcr", "ExOR", "MORE"];

@@ -69,6 +69,11 @@ fn file_sinks_are_byte_identical_to_the_legacy_serializers() {
     };
     assert_eq!(summary.records, records.len());
     assert_eq!(summary.cells_skipped, 0);
+    assert_eq!(
+        summary.records_high_water,
+        records.len(),
+        "Collect holds the whole grid"
+    );
 
     // Collect reproduces the legacy records (and therefore bytes).
     assert_eq!(collect.records(), &records[..]);
@@ -112,6 +117,19 @@ fn aggregate_summarizes_without_holding_records() {
         "streaming high-water {} must undercut the {}-record grid",
         summary.records_high_water,
         summary.records
+    );
+    // With one worker the executor's reorder buffer never holds more than
+    // the cell in hand: one record on a grid of one flow set per cell.
+    let serial = golden("aggregate")
+        .traffic(TrafficSpec::RandomPairs { count: 1, seed: 7 })
+        .threads(1)
+        .try_run_with_sink(&mut Aggregate::new())
+        .expect("serial aggregate run");
+    assert_eq!(serial.records, serial.cells_run, "one record per cell");
+    assert!(
+        serial.records_high_water <= 1,
+        "serial streaming high-water {} must stay at the reorder buffer",
+        serial.records_high_water
     );
     // The folded means match a recomputation over the materialized runs.
     let summaries = agg.summaries();
